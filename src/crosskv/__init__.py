@@ -6,7 +6,7 @@ methods need: rotation-compatible weighted fusion, a strategy catalog,
 incremental decoding with cache accounting, and an analytic cost model.
 """
 
-from .attention import AttentionConfig, attend, attend_fused
+from .attention import AttentionConfig, attend
 from .costmodel import (
     CostBreakdown,
     DeviceProfile,
@@ -27,9 +27,11 @@ from .rope import (
     score_direct,
 )
 from .sharing import (
+    FoldedCache,
     FusionWeights,
     LayerCache,
     SharingPlan,
+    folded_cache,
     init_equivalent,
     init_normal,
     iterative_reconstruct,

@@ -1,28 +1,38 @@
-"""Causal grouped-query attention over layer caches.
+"""Causal grouped-query attention over weighted cache terms.
 
 Queries and cached keys arrive already rotated; masking is by absolute
 token position, so shifting every position by the same offset changes
 nothing. Query head h reads kv head h // (H_q / H_kv); with H_kv == H_q
 this is plain multi-head attention.
 
-`attend_fused` is the fused-cache path: it accumulates per-source score
-and value contributions instead of materializing the fused cache first.
-Both paths must agree to tight tolerance; tests hold them to 1e-12.
+One kernel serves every layer. A layer's cache is a set of key terms and
+value terms, each a stored tensor with an optional weight: a storage layer
+is one unweighted term, a direct-reuse layer (CLA, YOCO) one unweighted
+term of its source, a fusion layer one weighted term per source. Weights
+fold into the small operands through the dot-product identities
+
+    (w ⊙ q)·k = q·(w ⊙ k)        and        P·(V ⊙ b) = (P·V) ⊙ b,
+
+so a fused cache is never built. Grouping is a free view of the queries
+as [..., H_kv, g·s_q, D]; no cache is ever repeated per query head. The
+fold must match materialize-then-attend to 1e-12 (tests and `verify`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .rope import PairSymmetricWeight
-from .sharing import LayerCache
-from .tensor import DimensionError, Tensor, masked_softmax, matmul, matmul_t, repeat
+from .sharing import FoldedCache, LayerCache
+from .tensor import DimensionError, Tensor, _unbroadcast, masked_softmax, record_op
 
-__all__ = ["AttentionConfig", "attend", "attend_fused"]
+# Not called here any more. The benchmark's tracer (perfbench/hooks.py)
+# wraps these names in this module by attribute, so they stay bound.
+from .tensor import matmul, matmul_t, repeat  # noqa: F401
+
+__all__ = ["AttentionConfig", "attend"]
 
 
 @dataclass(frozen=True)
@@ -48,21 +58,35 @@ def _causal_mask(q_positions: np.ndarray, k_positions: np.ndarray) -> np.ndarray
     return k_positions[None, :] <= q_positions[:, None]
 
 
-def _check_attention_inputs(q: Tensor, keys: Tensor, cfg: AttentionConfig, q_positions, k_positions):
+def _check_terms(cache, cfg: AttentionConfig) -> tuple[int, ...]:
+    """Every term has the same [..., H_kv, s_k, D] shape; weights are scalars or [D]."""
+    terms = tuple(cache.key_terms) + tuple(cache.value_terms)
+    if not cache.key_terms or not cache.value_terms:
+        raise DimensionError("attention needs at least one key term and one value term")
+    shape = terms[0][0].shape
+    if len(shape) < 3 or shape[-3] != cfg.n_kv_heads or shape[-1] != cfg.head_dim:
+        raise DimensionError(
+            f"cache {shape} does not match {cfg.n_kv_heads} kv heads x head_dim {cfg.head_dim}"
+        )
+    for tensor, weight in terms:
+        if tensor.shape != shape:
+            raise DimensionError(f"cache terms differ in shape: {tensor.shape} vs {shape}")
+        if weight is not None and weight.shape not in ((), (cfg.head_dim,)):
+            raise DimensionError(f"weight {weight.shape} is neither a scalar nor [{cfg.head_dim}]")
+    return shape
+
+
+def _check_positions(q: Tensor, shape, cfg: AttentionConfig, q_positions, k_positions):
     if q.ndim < 3 or q.shape[-3] != cfg.n_query_heads or q.shape[-1] != cfg.head_dim:
         raise DimensionError(
             f"queries {q.shape} do not match {cfg.n_query_heads} heads x head_dim {cfg.head_dim}"
         )
-    if keys.shape[-3] != cfg.n_kv_heads or keys.shape[-1] != cfg.head_dim:
-        raise DimensionError(
-            f"cache {keys.shape} does not match {cfg.n_kv_heads} kv heads x head_dim {cfg.head_dim}"
-        )
-    if q.shape[:-3] != keys.shape[:-3]:
-        raise DimensionError(f"leading dims differ: queries {q.shape} vs cache {keys.shape}")
+    if q.shape[:-3] != shape[:-3]:
+        raise DimensionError(f"leading dims differ: queries {q.shape} vs cache {shape}")
     q_positions = np.asarray(q_positions)
     if q_positions.shape != (q.shape[-2],):
         raise DimensionError(f"{q_positions.size} query positions for {q.shape[-2]} query rows")
-    s_k = keys.shape[-2]
+    s_k = shape[-2]
     if k_positions is None:
         k_positions = np.arange(s_k)
     else:
@@ -74,79 +98,83 @@ def _check_attention_inputs(q: Tensor, keys: Tensor, cfg: AttentionConfig, q_pos
     return q_positions, k_positions
 
 
+def _parents(first: Tensor, terms) -> tuple[Tensor, ...]:
+    """`first`, then each term's tensor and (when present) its weight."""
+    out = [first]
+    for tensor, weight in terms:
+        out.append(tensor)
+        if weight is not None:
+            out.append(weight)
+    return tuple(out)
+
+
+def _folded_scores(q: Tensor, key_terms, n_kv_heads: int) -> Tensor:
+    """Σ_j (w_j ⊙ q)·K_jᵀ with q viewed as [..., H_kv, g·s_q, D]; one tape op."""
+    qg = q.data.reshape(q.shape[:-3] + (n_kv_heads, -1, q.shape[-1]))
+    out = None
+    for keys, weight in key_terms:
+        qw = qg if weight is None else qg * weight.data
+        term = np.matmul(qw, np.swapaxes(keys.data, -1, -2))
+        out = term if out is None else out + term
+
+    def backward(g):
+        dq, grads = None, []
+        for keys, weight in key_terms:
+            gk = np.matmul(g, keys.data)
+            qw = qg if weight is None else qg * weight.data
+            grads.append(np.matmul(np.swapaxes(g, -1, -2), qw))
+            if weight is not None:
+                grads.append(_unbroadcast(gk * qg, weight.shape))
+                gk = gk * weight.data
+            dq = gk if dq is None else dq + gk
+        return (dq.reshape(q.shape), *grads)
+
+    return record_op("folded_scores", out, _parents(q, key_terms), backward)
+
+
+def _folded_values(probs: Tensor, value_terms, q_shape) -> Tensor:
+    """Σ_j (P·V_j) ⊙ b_j, returned in the query layout [..., H_q, s_q, D]; one tape op."""
+    p = probs.data
+    parts = [np.matmul(p, values.data) for values, _ in value_terms]
+    out = None
+    for part, (_, weight) in zip(parts, value_terms):
+        term = part if weight is None else part * weight.data
+        out = term if out is None else out + term
+    grouped = out.shape
+
+    def backward(g):
+        gg = g.reshape(grouped)
+        dp, grads = None, []
+        for part, (values, weight) in zip(parts, value_terms):
+            gw = gg if weight is None else gg * weight.data
+            term = np.matmul(gw, np.swapaxes(values.data, -1, -2))
+            dp = term if dp is None else dp + term
+            grads.append(np.matmul(np.swapaxes(p, -1, -2), gw))
+            if weight is not None:
+                grads.append(_unbroadcast(part * gg, weight.shape))
+        return (dp, *grads)
+
+    return record_op("folded_values", out.reshape(q_shape), _parents(probs, value_terms), backward)
+
+
 def attend(
     q: Tensor,
-    cache: LayerCache,
+    cache: LayerCache | FoldedCache,
     cfg: AttentionConfig,
     q_positions,
     k_positions=None,
 ) -> Tensor:
-    """Causal attention of rotated queries against one layer cache.
+    """Causal attention of rotated queries against one layer's cache terms.
 
-    q: [..., H_q, s_q, D]; cache tensors: [..., H_kv, s_k, D]. Scores are
-    scaled by 1/sqrt(D); each query row attends to cache rows at positions
-    <= its own. Returns [..., H_q, s_q, D].
+    q: [..., H_q, s_q, D]; every term tensor: [..., H_kv, s_k, D]. Scores
+    Σ_j (w_j ⊙ q)·K_jᵀ are scaled by 1/sqrt(D); each query row attends to
+    cache rows at positions <= its own; the output is Σ_j (P·V_j) ⊙ b_j.
+    A `LayerCache` is one unweighted term of keys and one of values.
+    Returns [..., H_q, s_q, D].
     """
-    q_positions, k_positions = _check_attention_inputs(q, cache.keys, cfg, q_positions, k_positions)
-    g = cfg.group_size
-    keys = repeat(cache.keys, g, axis=-3) if g > 1 else cache.keys
-    values = repeat(cache.values, g, axis=-3) if g > 1 else cache.values
-    scores = matmul_t(q, keys)
-    probs = masked_softmax(
-        scores, _causal_mask(q_positions, k_positions), 1.0 / math.sqrt(cfg.head_dim)
-    )
-    return matmul(probs, values)
-
-
-def attend_fused(
-    q: Tensor,
-    sources: Sequence[LayerCache],
-    key_weights: Sequence,
-    value_weights: Sequence,
-    cfg: AttentionConfig,
-    q_positions,
-    k_positions=None,
-) -> Tensor:
-    """Attention against a weighted fusion of several source caches, computed
-    without materializing the fused cache: per-source score matrices are
-    summed before one softmax, and the output sums per-source value reads.
-
-    Key weights must be pair-symmetric (or scalars); this is what keeps the
-    fused score a function of relative position only.
-    """
-    if not sources:
-        raise DimensionError("attend_fused needs at least one source cache")
-    if len(key_weights) != len(sources) or len(value_weights) != len(sources):
-        raise DimensionError(
-            f"{len(sources)} sources but {len(key_weights)} key weights "
-            f"and {len(value_weights)} value weights"
-        )
-    length = sources[0].length
-    for src in sources[1:]:
-        if src.length != length:
-            raise DimensionError("source caches have different lengths")
-    q_positions, k_positions = _check_attention_inputs(
-        q, sources[0].keys, cfg, q_positions, k_positions
-    )
-    g = cfg.group_size
-
-    scores = None
-    for src, kw in zip(sources, key_weights):
-        w = kw.expanded() if isinstance(kw, PairSymmetricWeight) else kw
-        keys = src.keys * w
-        if g > 1:
-            keys = repeat(keys, g, axis=-3)
-        term = matmul_t(q, keys)
-        scores = term if scores is None else scores + term
-    probs = masked_softmax(
-        scores, _causal_mask(q_positions, k_positions), 1.0 / math.sqrt(cfg.head_dim)
-    )
-
-    out = None
-    for src, vw in zip(sources, value_weights):
-        values = src.values * vw
-        if g > 1:
-            values = repeat(values, g, axis=-3)
-        term = matmul(probs, values)
-        out = term if out is None else out + term
-    return out
+    shape = _check_terms(cache, cfg)
+    q_positions, k_positions = _check_positions(q, shape, cfg, q_positions, k_positions)
+    scores = _folded_scores(q, cache.key_terms, cfg.n_kv_heads)
+    mask = np.tile(_causal_mask(q_positions, k_positions), (cfg.group_size, 1))
+    probs = masked_softmax(scores, mask, 1.0 / math.sqrt(cfg.head_dim))
+    return _folded_values(probs, cache.value_terms, q.shape)

@@ -21,10 +21,12 @@ import numpy as np
 from .attention import AttentionConfig, attend
 from .rope import RopeSchedule, apply_rope
 from .sharing import (
+    FoldedCache,
     FusionWeights,
     LayerCache,
     SharingPlan,
     canonical_strategy,
+    folded_cache,
     init_equivalent,
     init_normal,
     plan_for_strategy,
@@ -212,13 +214,23 @@ class DecoderModel:
         v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
         return LayerCache(k, v, i)
 
+    def _reconstructed(self, i: int, caches: dict, rows: int) -> LayerCache | FoldedCache:
+        """Reconstruction layer i's cache for `rows` query rows. A one-row
+        decode step reads the stored caches through folded weights; a
+        multi-row pass materializes the cache once, because folding would
+        multiply its [T, T] score and value matmuls by the number of
+        sources, which makes a long prefill slower."""
+        if rows == 1:
+            return folded_cache(self.plan, self.fusion, caches, i)
+        k, v = reconstruct(self.plan, self.fusion, caches, i)
+        return LayerCache(k, v, i)
+
     def _attn_out(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
-            k, v = reconstruct(self.plan, self.fusion, caches, i)
-            cache = LayerCache(k, v, i)
+            cache = self._reconstructed(i, caches, positions.size)
             k_positions = np.arange(cache.length)
         else:
             cache = self._layer_cache(i, xn, positions)
@@ -281,15 +293,15 @@ class DecoderModel:
             q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
             q = apply_rope(q, positions, self.sched)
             if i in self.plan.rules:
-                k, v = reconstruct(self.plan, self.fusion, caches, i)
-                cache = LayerCache(k, v, i)
+                cache = self._reconstructed(i, caches, positions.size)
             else:
                 new = self._layer_cache(i, xn, positions)
                 if append and i in caches:
                     old = caches[i]
+                    # _wrap adopts the concatenated array; Tensor() would copy it again
                     cache = LayerCache(
-                        Tensor(np.concatenate([old.keys.numpy(), new.keys.numpy()], axis=-2)),
-                        Tensor(np.concatenate([old.values.numpy(), new.values.numpy()], axis=-2)),
+                        Tensor._wrap(np.concatenate([old.keys.data, new.keys.data], axis=-2), "cache_append"),
+                        Tensor._wrap(np.concatenate([old.values.data, new.values.data], axis=-2), "cache_append"),
                         i,
                     )
                 else:
@@ -306,8 +318,9 @@ class DecoderModel:
         """Greedy decoding with incremental caches for storage layers only.
 
         Logits row t is the distribution over token t+1; generated token
-        t+1 is its argmax. Reconstruction-layer caches are rebuilt per step
-        and dropped, so only |storage layers| caches ever persist.
+        t+1 is its argmax. Reconstruction layers read the stored caches
+        through their fusion weights at every step and keep nothing, so only
+        |storage layers| caches ever persist.
         """
         prompt = np.asarray(prompt)
         if prompt.ndim != 1 or prompt.size == 0:
@@ -336,7 +349,11 @@ class DecoderModel:
             )
             logits_rows.append(step[0])
 
-        assert set(caches) == set(self.plan.storage_layers)
+        if set(caches) != set(self.plan.storage_layers):
+            raise RuntimeError(
+                f"decode kept caches for layers {sorted(caches)}, "
+                f"not the storage layers {list(self.plan.storage_layers)}"
+            )
         elements = sum(c.keys.size + c.values.size for c in caches.values())
         return DecodeResult(
             tokens=np.asarray(tokens),

@@ -44,11 +44,13 @@ __all__ = [
     "ReconstructionSpec",
     "SharingPlan",
     "LayerCache",
+    "FoldedCache",
     "FusionWeights",
     "IterativeWeights",
     "plan_for_strategy",
     "canonical_strategy",
     "reconstruct",
+    "folded_cache",
     "init_normal",
     "init_equivalent",
     "sample_iterative_weights",
@@ -255,6 +257,32 @@ class LayerCache:
     def length(self) -> int:
         return self.keys.shape[-2]
 
+    @property
+    def key_terms(self) -> tuple:
+        return ((self.keys, None),)
+
+    @property
+    def value_terms(self) -> tuple:
+        return ((self.values, None),)
+
+
+@dataclass(frozen=True)
+class FoldedCache:
+    """A reconstruction layer's keys and values left unsummed: each is a
+    tuple of (stored tensor, weight or None) terms, and the cache they
+    stand for is the sum of weight * tensor. `crosskv.attention.attend`
+    folds the weights into queries and outputs, so reading one of these
+    never materializes the reconstructed cache.
+    """
+
+    key_terms: tuple
+    value_terms: tuple
+    layer: int
+
+    @property
+    def length(self) -> int:
+        return self.key_terms[0][0].shape[-2]
+
 
 @dataclass
 class FusionWeights:
@@ -291,10 +319,48 @@ class FusionWeights:
         return w.expanded() if isinstance(w, PairSymmetricWeight) else w
 
 
-def _fuse(weight_of, sources: tuple[int, ...], tensors: dict) -> Tensor:
+def folded_cache(
+    plan: SharingPlan,
+    weights: FusionWeights | None,
+    stored: dict,
+    i: int,
+) -> FoldedCache:
+    """The terms that rebuild reconstruction layer `i` from stored caches:
+    a direct rule is its source tensor unweighted; a fusion rule is one
+    weighted term per source. The tensors are the stored ones (aliased)."""
+    if i not in plan.rules:
+        raise KeyError(f"layer {i} is not a reconstruction layer")
+    spec = plan.rules[i]
+    length = None
+    for j in spec.sources:
+        if j not in stored:
+            raise KeyError(f"layer {i} needs the cache of layer {j}, which is not stored")
+        if length is None:
+            length = stored[j].length
+        elif stored[j].length != length:
+            raise DimensionError(
+                f"source caches for layer {i} have different lengths "
+                f"({stored[j].length} vs {length})"
+            )
+    if (spec.key.kind != DIRECT or spec.value.kind != DIRECT) and weights is None:
+        raise ValueError(f"layer {i} uses weighted fusion but no weights were given")
+
+    def terms(rule: CacheRule, tensor_of, weight_of) -> tuple:
+        if rule.kind == DIRECT:
+            return ((tensor_of(rule.sources[0]), None),)
+        return tuple((tensor_of(j), weight_of(j)) for j in rule.sources)
+
+    return FoldedCache(
+        terms(spec.key, lambda j: stored[j].keys, lambda j: weights.key_expanded(i, j)),
+        terms(spec.value, lambda j: stored[j].values, lambda j: weights.value[(i, j)]),
+        i,
+    )
+
+
+def _sum_terms(terms: tuple) -> Tensor:
     total = None
-    for j in sources:
-        term = weight_of(j) * tensors[j]
+    for tensor, weight in terms:
+        term = tensor if weight is None else weight * tensor
         total = term if total is None else total + term
     return total
 
@@ -310,36 +376,10 @@ def reconstruct(
     Direct rules return the source tensors themselves (aliasing is fine;
     value equality is the contract). Fusion rules compute the weighted sum
     of the sources and are differentiable with respect to both the weights
-    and the source caches.
+    and the source caches. This is the materialized form of `folded_cache`.
     """
-    if i not in plan.rules:
-        raise KeyError(f"layer {i} is not a reconstruction layer")
-    spec = plan.rules[i]
-    length = None
-    for j in spec.sources:
-        if j not in stored:
-            raise KeyError(f"layer {i} needs the cache of layer {j}, which is not stored")
-        if length is None:
-            length = stored[j].length
-        elif stored[j].length != length:
-            raise DimensionError(
-                f"source caches for layer {i} have different lengths "
-                f"({stored[j].length} vs {length})"
-            )
-
-    def rebuild(rule: CacheRule, tensors, weight_of):
-        if rule.kind == DIRECT:
-            return tensors[rule.sources[0]]
-        return _fuse(weight_of, rule.sources, tensors)
-
-    key_tensors = {j: stored[j].keys for j in spec.key.sources}
-    value_tensors = {j: stored[j].values for j in spec.value.sources}
-    if spec.key.kind != DIRECT or spec.value.kind != DIRECT:
-        if weights is None:
-            raise ValueError(f"layer {i} uses weighted fusion but no weights were given")
-    k = rebuild(spec.key, key_tensors, lambda j: weights.key_expanded(i, j))
-    v = rebuild(spec.value, value_tensors, lambda j: weights.value[(i, j)])
-    return k, v
+    folded = folded_cache(plan, weights, stored, i)
+    return _sum_terms(folded.key_terms), _sum_terms(folded.value_terms)
 
 
 def init_normal(plan: SharingPlan, head_dim: int, seed) -> FusionWeights:

@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,10 +61,9 @@ class EvaluationError(RuntimeError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # One reduction instead of isfinite().all(): any nan/inf entry makes the
-    # sum non-finite. (A sum overflowing on technically finite ~1e308 inputs
-    # would misfire, but values that large are out of this package's domain.)
-    if not np.isfinite(arr.sum()):
+    # Entry by entry, not through one sum: a sum overflows (and warns) on
+    # large finite entries such as 1e308, and is no faster.
+    if not np.isfinite(arr).all():
         raise EvaluationError(f"{op}: result contains non-finite entries")
 
 
@@ -180,27 +180,37 @@ class Node:
         self.shape = shape
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """Active tapes of the calling thread, innermost last."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tape:
-    """Gradient tape. Single-threaded; nodes are topologically ordered
-    because they are appended at creation time."""
+    """Gradient tape. Nodes are topologically ordered because they are
+    appended at creation time. Each thread has its own stack of active
+    tapes, so operations on one thread never record onto a tape another
+    thread has open; one tape is used by one thread."""
 
     def __init__(self):
         self.nodes: list[Node] = []
         self._grads: list[np.ndarray | None] | None = None
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self, "tape contexts must nest"
 
     def watch(self, t: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, attend, attend_fused
+from .attention import AttentionConfig, attend
 from .costmodel import DEVICE_PRESETS, DeviceProfile, WorkloadSpec, roofline_latency, table1_costs
 from .model import DecoderModel, ModelConfig, build_model
 from .rope import PairSymmetricWeight, RopeSchedule, apply_rope, fused_key_score, score_decomposed, score_direct
@@ -24,6 +24,7 @@ from .sharing import (
     DIRECT,
     FusionWeights,
     LayerCache,
+    folded_cache,
     init_equivalent,
     init_normal,
     iterative_reconstruct,
@@ -392,20 +393,13 @@ def _attention_checks() -> list[CheckResult]:
         ok &= np.array_equal(zeroed[:, : p + 1, :], base[:, : p + 1, :])
     out.append(_result("attention", "future_tokens_cannot_affect_present", ok))
 
-    # Two-path equivalence: fused accumulation vs materialize-then-attend.
+    # Two-path equivalence: weights folded into the kernel vs materialize-then-attend.
     plan = plan_for_strategy("FusedKV", 4, 2)
     stored = _random_caches(rng, (1, 2), shape=(2, 6, 8))
     weights = init_normal(plan, 8, rng)
     k, v = reconstruct(plan, weights, stored, 3)
     mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(6)).numpy()
-    fused = attend_fused(
-        q,
-        [stored[1], stored[2]],
-        [weights.key[(3, 1)], weights.key[(3, 2)]],
-        [weights.value[(3, 1)], weights.value[(3, 2)]],
-        cfg,
-        np.arange(6),
-    ).numpy()
+    fused = attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(6)).numpy()
     dev = np.abs(mat - fused).max()
     out.append(_result("attention", "fused_path_matches_materialized", dev <= 1e-12, f"max dev {dev:.2e}"))
 
@@ -417,19 +411,11 @@ def _attention_checks() -> list[CheckResult]:
 
     def fused_at(shift: int) -> np.ndarray:
         pos = np.arange(6) + shift
-        srcs = [
-            LayerCache(apply_rope(Tensor(raw_k[j]), pos, sched), Tensor(raw_v[j]), j) for j in (1, 2)
-        ]
+        srcs = {
+            j: LayerCache(apply_rope(Tensor(raw_k[j]), pos, sched), Tensor(raw_v[j]), j) for j in (1, 2)
+        }
         qr = apply_rope(Tensor(raw_q), pos, sched)
-        return attend_fused(
-            qr,
-            srcs,
-            [weights.key[(3, 1)], weights.key[(3, 2)]],
-            [weights.value[(3, 1)], weights.value[(3, 2)]],
-            cfg,
-            pos,
-            pos,
-        ).numpy()
+        return attend(qr, folded_cache(plan, weights, srcs, 3), cfg, pos, pos).numpy()
 
     dev = np.abs(fused_at(0) - fused_at(7)).max()
     out.append(_result("attention", "outputs_shift_invariant", dev <= 1e-10, f"max dev {dev:.2e}"))

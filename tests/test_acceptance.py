@@ -9,7 +9,7 @@ latency ratios) plus deterministic toy-training behavior instead.
 import numpy as np
 import pytest
 
-from crosskv.attention import AttentionConfig, attend_fused
+from crosskv.attention import AttentionConfig, attend
 from crosskv.costmodel import (
     DEVICE_PRESETS,
     WorkloadSpec,
@@ -28,6 +28,7 @@ from crosskv.rope import (
 )
 from crosskv.sharing import (
     LayerCache,
+    folded_cache,
     init_equivalent,
     init_normal,
     iterative_reconstruct,
@@ -104,16 +105,9 @@ def test_criterion_03_fused_key_linearity_and_attention_shift():
 
     def outputs(shift):
         pos = np.arange(6) + shift
-        srcs = [LayerCache(apply_rope(Tensor(raw[j][0]), pos, SCHED), Tensor(raw[j][1]), j) for j in (1, 2)]
-        return attend_fused(
-            apply_rope(Tensor(raw_q), pos, SCHED),
-            srcs,
-            [weights.key[(3, 1)], weights.key[(3, 2)]],
-            [weights.value[(3, 1)], weights.value[(3, 2)]],
-            cfg,
-            pos,
-            pos,
-        ).numpy()
+        srcs = {j: LayerCache(apply_rope(Tensor(raw[j][0]), pos, SCHED), Tensor(raw[j][1]), j) for j in (1, 2)}
+        q = apply_rope(Tensor(raw_q), pos, SCHED)
+        return attend(q, folded_cache(plan, weights, srcs, 3), cfg, pos, pos).numpy()
 
     worst_shift = np.abs(outputs(0) - outputs(11)).max()
     assert worst_shift < 1e-10

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from crosskv.attention import AttentionConfig, attend, attend_fused
+from crosskv.attention import AttentionConfig, attend
 from crosskv.rope import PairSymmetricWeight, RopeSchedule, apply_rope
-from crosskv.sharing import LayerCache, init_normal, plan_for_strategy, reconstruct
-from crosskv.tensor import DimensionError, Tensor
+from crosskv.sharing import FoldedCache, LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
+from crosskv.tensor import DimensionError, Tensor, grad_check
 
 
 def cache_of(rng, h_kv, s, d, layer=1):
@@ -93,14 +93,17 @@ class TestAttend:
 
 
 class TestAttendFused:
+    """Weighted terms folded into the kernel, against the materialized cache."""
+
     def test_single_source_unit_weights_equals_attend(self):
         rng = np.random.default_rng(6)
         cfg = AttentionConfig(2, 2, 8)
         cache = cache_of(rng, 2, 4, 8)
         q = Tensor(rng.standard_normal((2, 4, 8)))
-        fused = attend_fused(
-            q, [cache], [PairSymmetricWeight.ones(8)], [Tensor(np.ones(8))], cfg, np.arange(4)
-        ).numpy()
+        ones = FoldedCache(
+            ((cache.keys, PairSymmetricWeight.ones(8).expanded()),), ((cache.values, Tensor(np.ones(8))),), 3
+        )
+        fused = attend(q, ones, cfg, np.arange(4)).numpy()
         plain = attend(q, cache, cfg, np.arange(4)).numpy()
         np.testing.assert_allclose(fused, plain, atol=1e-14)
 
@@ -113,14 +116,7 @@ class TestAttendFused:
         q = Tensor(rng.standard_normal((4, 5, 8)))
         k, v = reconstruct(plan, weights, stored, 3)
         mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(5)).numpy()
-        fused = attend_fused(
-            q,
-            [stored[1], stored[2]],
-            [weights.key[(3, 1)], weights.key[(3, 2)]],
-            [weights.value[(3, 1)], weights.value[(3, 2)]],
-            cfg,
-            np.arange(5),
-        ).numpy()
+        fused = attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(5)).numpy()
         assert np.abs(mat - fused).max() < 1e-12
 
     def test_shift_invariance_end_to_end(self):
@@ -134,19 +130,12 @@ class TestAttendFused:
 
         def run(shift):
             pos = np.arange(6) + shift
-            srcs = [
-                LayerCache(apply_rope(Tensor(raw[j][0]), pos, sched), Tensor(raw[j][1]), j)
+            srcs = {
+                j: LayerCache(apply_rope(Tensor(raw[j][0]), pos, sched), Tensor(raw[j][1]), j)
                 for j in (1, 2)
-            ]
-            return attend_fused(
-                apply_rope(Tensor(raw_q), pos, sched),
-                srcs,
-                [weights.key[(3, 1)], weights.key[(3, 2)]],
-                [weights.value[(3, 1)], weights.value[(3, 2)]],
-                cfg,
-                pos,
-                pos,
-            ).numpy()
+            }
+            q = apply_rope(Tensor(raw_q), pos, sched)
+            return attend(q, folded_cache(plan, weights, srcs, 3), cfg, pos, pos).numpy()
 
         assert np.abs(run(0) - run(7)).max() < 1e-10
 
@@ -155,8 +144,64 @@ class TestAttendFused:
         cfg = AttentionConfig(2, 2, 4)
         cache = cache_of(rng, 2, 2, 4)
         q = Tensor(rng.standard_normal((2, 2, 4)))
-        with pytest.raises(DimensionError):
-            attend_fused(q, [cache], [], [Tensor(np.ones(4))], cfg, np.arange(2))
+        value_terms = ((cache.values, Tensor(np.ones(4))),)
+        with pytest.raises(DimensionError):  # no key terms
+            attend(q, FoldedCache((), value_terms, 3), cfg, np.arange(2))
+        with pytest.raises(DimensionError):  # weight length is not head_dim
+            attend(q, FoldedCache(((cache.keys, Tensor(np.ones(3))),), value_terms, 3), cfg, np.arange(2))
+        short = cache_of(rng, 2, 1, 4)
+        with pytest.raises(DimensionError):  # terms of different cache lengths
+            attend(q, FoldedCache(((cache.keys, None), (short.keys, None)), value_terms, 3), cfg, np.arange(2))
+
+
+FOLDED_STRATEGIES = (
+    ("FusedKV", "pair-symmetric key vectors, value vectors, two sources"),
+    ("DenseFusion", "scalars over three sources"),
+    ("YOCO", "direct reuse of one source"),
+    ("FusedKV-Lite", "direct keys and values from different sources"),
+    ("FusedKV-Lite-Learnable", "one weighted source each"),
+)
+
+
+class TestFoldedKernel:
+    """The one kernel at H_q=4, H_kv=2 against `reconstruct` then the loop oracle."""
+
+    @pytest.mark.parametrize("strategy", [s for s, _ in FOLDED_STRATEGIES])
+    @pytest.mark.parametrize("s_q", [1, 3])
+    def test_matches_reconstruct_and_loop_oracle(self, strategy, s_q):
+        rng = np.random.default_rng([13, s_q])
+        plan = plan_for_strategy(strategy, 6, 3)
+        weights = init_normal(plan, 8, 14)
+        cfg = AttentionConfig(4, 2, 8)
+        s_k = 7
+        stored = {j: cache_of(rng, 2, s_k, 8, layer=j) for j in plan.storage_layers}
+        q = Tensor(rng.standard_normal((4, s_q, 8)))
+        q_pos = np.arange(s_k - s_q, s_k)
+        for i in plan.reconstruction_layers:
+            k, v = reconstruct(plan, weights, stored, i)
+            folded = attend(q, folded_cache(plan, weights, stored, i), cfg, q_pos).numpy()
+            materialized = attend(q, LayerCache(k, v, i), cfg, q_pos).numpy()
+            oracle = loop_attention(q.numpy(), k.numpy(), v.numpy(), 2, q_pos, np.arange(s_k))
+            assert np.abs(folded - materialized).max() < 1e-12
+            assert np.abs(folded - oracle).max() < 1e-12
+
+    def test_two_source_weighted_gradients_match_fd(self):
+        rng = np.random.default_rng(15)
+        plan = plan_for_strategy("FusedKV", 4, 2)
+        weights = init_normal(plan, 4, 16)
+        cfg = AttentionConfig(4, 2, 4)
+        stored = {j: cache_of(rng, 2, 3, 4, layer=j) for j in (1, 2)}
+        q = Tensor(rng.standard_normal((4, 2, 4)))
+        probe = rng.standard_normal((4, 2, 4))
+        params = [q]
+        for c in stored.values():
+            params += [c.keys, c.values]
+        params += [weights.key[(3, j)].free for j in (1, 2)] + [weights.value[(3, j)] for j in (1, 2)]
+
+        def loss():
+            return (attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(1, 3)) * probe).sum()
+
+        assert grad_check(loss, params) < 1e-6
 
 
 class TestGqaDegeneracy:

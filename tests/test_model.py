@@ -3,7 +3,7 @@ import pytest
 
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_heatmap
-from crosskv.tensor import DimensionError, Tape
+from crosskv.tensor import DimensionError, Tape, Tensor
 from crosskv.verify import _expected_parameter_count, toy_config
 
 
@@ -132,6 +132,37 @@ class TestDecode:
         res = m.decode(prompt, 8)
         full = m.forward_logits(res.tokens).numpy()[0]
         assert np.abs(full[: len(res.logits)] - res.logits).max() < 1e-10
+
+    @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion", "FusedKV-Lite", "YOCO"])
+    def test_grouped_reconstruction_matches_full_recompute(self, strategy):
+        m = build_model(small_cfg(strategy, n_kv_heads=2), seed=9)
+        prompt = np.random.default_rng(10).integers(0, 16, size=12)
+        res = m.decode(prompt, 8)
+        full = m.forward_logits(res.tokens).numpy()[0]
+        assert np.abs(full[: len(res.logits)] - res.logits).max() <= 1e-10
+
+    def test_fused_decode_step_materializes_only_the_appends(self, monkeypatch):
+        m = build_model(small_cfg("FusedKV"), seed=11)
+        prompt = np.arange(12) % 16
+        caches = {}
+        m._decode_step(prompt[None, :], np.arange(12), caches, append=False)
+        cache_size = next(iter(caches.values())).keys.size
+        sizes = []
+        wrap, init = Tensor._wrap.__func__, Tensor.__init__
+
+        def counted_wrap(cls, arr, op):
+            sizes.append(arr.size)
+            return wrap(cls, arr, op)
+
+        def counted_init(self, data, dtype=None):
+            init(self, data, dtype)
+            sizes.append(self.size)
+
+        monkeypatch.setattr(Tensor, "_wrap", classmethod(counted_wrap))
+        monkeypatch.setattr(Tensor, "__init__", counted_init)
+        m._decode_step(np.array([[3]]), np.array([12]), caches, append=True)
+        cache_sized = [n for n in sizes if n >= cache_size]
+        assert len(cache_sized) == 2 * len(m.plan.storage_layers)
 
     def test_zero_new_tokens_only_prefills(self):
         m = build_model(small_cfg(), seed=6)

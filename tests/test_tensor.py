@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,19 @@ class TestTensorBasics:
             Tensor([1.0, np.inf])
         with pytest.raises(EvaluationError):
             Tensor([np.nan])
+
+    def test_large_finite_entries_accepted(self):
+        # the entries are finite, only their sum overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor(np.full(4, 1e308))
+        assert np.array_equal(t.numpy(), np.full(4, 1e308))
+
+    def test_infinity_beside_large_entries_rejected(self):
+        with pytest.raises(EvaluationError):
+            Tensor(np.array([1e308, 1e308, np.inf]))
+        with pytest.raises(EvaluationError):
+            Tensor(np.array([-1e308, np.nan, 1e308]))
 
     def test_zero_extent_rejected(self):
         with pytest.raises(DimensionError):
@@ -259,6 +275,55 @@ class TestTapeMechanics:
         x = Tensor([1.0])
         y = x * 3.0
         assert y.tape is None and y.node_id is None
+
+
+class TestTapeThreads:
+    def test_other_thread_records_nothing_on_an_open_tape(self):
+        from crosskv.model import ModelConfig, build_model
+
+        model = build_model(ModelConfig(n_layers=2, d_model=16, n_query_heads=2, n_kv_heads=2, vocab_size=8), seed=0)
+        with Tape() as tape:
+            for _, p in model.parameters():  # as a training step does
+                tape.watch(p)
+            before = len(tape.nodes)
+            results = []
+            worker = threading.Thread(target=lambda: results.append(model.decode(np.arange(4), 3)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(results) == 1
+            assert len(tape.nodes) == before
+            model.forward_loss(np.arange(4))
+            assert len(tape.nodes) > before
+
+    def test_interleaved_tapes_on_two_threads_nest_per_thread(self):
+        entered = threading.Barrier(2, timeout=30)
+        main_opened, other_closed = threading.Event(), threading.Event()
+        outcome = []
+
+        def other():
+            try:
+                with Tape():
+                    entered.wait()
+                    assert main_opened.wait(timeout=30)
+                # closed while the main thread's tape, opened later, is still open
+                outcome.append("ok")
+            except Exception as e:  # reported to the main thread below
+                outcome.append(e)
+            finally:
+                other_closed.set()
+
+        t = threading.Thread(target=other)
+        t.start()
+        entered.wait()
+        with Tape() as mine:
+            main_opened.set()
+            assert other_closed.wait(timeout=30)
+            x = mine.watch(Tensor([3.0]))
+            (x * x).sum()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert outcome == ["ok"]
+        assert len(mine.nodes) == 3
 
 
 class TestStructuralOps:
