@@ -17,6 +17,7 @@ its parameter list.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -36,7 +37,7 @@ def save_checkpoint(arrays: dict, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(arrays)))
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
+            arr = np.asarray(arr, order="C")  # ascontiguousarray would make a 0-d array 1-d
             if arr.dtype not in _DTYPE_CODES:
                 raise TypeError(f"{name}: unsupported dtype {arr.dtype}")
             raw = name.encode("utf-8")
@@ -47,22 +48,34 @@ def save_checkpoint(arrays: dict, path) -> None:
             fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+def _read(fh, n: int, path, what: str) -> bytes:
+    # checked against the file size first, so a corrupt shape cannot ask
+    # read() for an allocation larger than the file
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated at {what} (wanted {n} bytes, {left} left)")
+    return fh.read(n)
+
+
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered {name: array} dict."""
+    """Read a checkpoint back into an ordered {name: array} dict. A short
+    file or an unknown dtype code raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read(fh, 8, path, "header"))
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+        for index in range(count):
+            (name_len,) = struct.unpack("<H", _read(fh, 2, path, f"tensor {index} name length"))
+            name = _read(fh, name_len, path, f"tensor {index} name").decode("utf-8")
+            code, ndim = struct.unpack("<BB", _read(fh, 2, path, f"{name} dtype"))
+            if code not in _CODE_DTYPES:
+                raise ValueError(f"{path}: {name}: unknown dtype code {code}")
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, f"{name} shape")) if ndim else ()
             dtype = _CODE_DTYPES[code]
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(n * dtype.itemsize), dtype=dtype)
+            data = np.frombuffer(_read(fh, n * dtype.itemsize, path, f"{name} data"), dtype=dtype)
             out[name] = data.reshape(shape).astype(dtype.newbyteorder("="))
         return out

@@ -28,7 +28,7 @@ from .costmodel import (
     sweep,
 )
 from .model import ModelConfig, build_model, fusion_weight_heatmap
-from .report import write_manifest, write_rows, write_train_report
+from .report import write_heatmap, write_manifest, write_rows, write_train_report
 from .training import OptimizerParams, TrainingDivergedError, train
 from .verify import SUITES, run_suites
 
@@ -337,15 +337,9 @@ def _cmd_heatmap(args) -> int:
         hm = fusion_weight_heatmap(model)
     except ValueError as e:
         raise ConfigError(str(e))
-    rows = []
-    for ti, target in enumerate(hm.targets):
-        for si, src in enumerate(hm.key_sources):
-            rows.append({"kind": "key", "target": target, "source": src, "weight": repr(float(hm.key_matrix[ti, si]))})
-        for si, src in enumerate(hm.value_sources):
-            rows.append({"kind": "value", "target": target, "source": src, "weight": repr(float(hm.value_matrix[ti, si]))})
     outdir = _output_dir(args)
     write_manifest(outdir, "heatmap", {**resolved, "checkpoint": args.checkpoint}, args.seed)
-    write_rows(outdir, "fusion_weights", ("kind", "target", "source", "weight"), rows, mirror_json=args.format == "json")
+    write_heatmap(outdir, "fusion_weights", hm, mirror_json=args.format == "json")
     print(f"heatmap: {len(hm.targets)} targets x ({len(hm.key_sources)} key / {len(hm.value_sources)} value sources) -> {outdir}")
     return EXIT_OK
 

@@ -130,12 +130,7 @@ def table1_costs(method: str, w: WorkloadSpec) -> CostBreakdown:
         decode = L * hq * D * (4 * s + 4 * hq * D + 4 * hkv * D)
         mem = 2 * L * S * hkv * D
         io = 2 * L * s * hkv * D
-    elif method == "YOCO":
-        prefill = L * S * hq * D * (2 * S + 2 * hq * D + 2 * hkv * D + 2) + 2 * L * (hq * D) ** 2
-        decode = L * hq * D * (4 * s + 4 * hq * D + 2 * hkv * D)
-        mem = L * S * hkv * D
-        io = 2 * L * s * hkv * D
-    elif method == "FusedKV-Lite":
+    elif method in ("YOCO", "FusedKV-Lite"):  # one row each in Table 1, with equal entries
         prefill = L * S * hq * D * (2 * S + 2 * hq * D + 2 * hkv * D + 2) + 2 * L * (hq * D) ** 2
         decode = L * hq * D * (4 * s + 4 * hq * D + 2 * hkv * D)
         mem = L * S * hkv * D

@@ -6,9 +6,11 @@ caches from stored ones, so their only attention parameters are the query
 and output projections plus any fusion weights. Blocks are pre-norm RMS,
 projections are biasless, and the MLP is a gated silu unit.
 
-All forward paths run the same math; training records on the gradient
-tape, while `decode` runs tape-free with incremental caches kept only for
-storage layers.
+Every pass runs one layer body, `_block`, through `_forward`: training
+and `forward_logits` over the whole sequence into a fresh cache dict,
+`decode` for its prefill and for each step, appending to the caches that
+only storage layers keep. Training records on the gradient tape; decode
+runs tape-free.
 """
 
 from __future__ import annotations
@@ -155,10 +157,24 @@ class DecoderModel:
         return {name: t.numpy() for name, t in self.parameters()}
 
     def load_state_dict(self, arrays: dict) -> None:
-        for name, _ in self.parameters():
-            if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
-            self.set_parameter(name, Tensor(np.asarray(arrays[name], dtype=self.cfg.dtype)))
+        """Replace every parameter. The arrays must name exactly this model's
+        parameters, each in its shape; nothing is replaced otherwise."""
+        params = dict(self.parameters())
+        missing = [name for name in params if name not in arrays]
+        extra = [name for name in arrays if name not in params]
+        if missing or extra:
+            raise KeyError(
+                f"checkpoint does not match the {self.cfg.strategy} model: missing {missing}, extra {extra}"
+            )
+        loaded = {name: np.asarray(arrays[name], dtype=self.cfg.dtype) for name in params}
+        for name, arr in loaded.items():
+            if arr.shape == (1,) and params[name].ndim == 0:
+                # older v1 writers stored 0-d arrays, such as scalar weights, as shape (1,)
+                loaded[name] = arr = arr.reshape(())
+            if arr.shape != params[name].shape:
+                raise ValueError(f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {params[name].shape}")
+        for name, arr in loaded.items():
+            self.set_parameter(name, Tensor(arr))
 
     # -- forward -----------------------------------------------------------
 
@@ -225,23 +241,40 @@ class DecoderModel:
         k, v = reconstruct(self.plan, self.fusion, caches, i)
         return LayerCache(k, v, i)
 
-    def _attn_out(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+    def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+        """Decoder layer i over the rows of `x` at `positions`. A storage
+        layer appends its new keys and values to caches[i], or starts that
+        entry; the append is tape-free, so a taped pass starts from an
+        empty dict. A reconstruction layer reads the stored caches."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
             cache = self._reconstructed(i, caches, positions.size)
-            k_positions = np.arange(cache.length)
         else:
             cache = self._layer_cache(i, xn, positions)
+            if i in caches:
+                old = caches[i]
+                # _wrap adopts the concatenated array; Tensor() would copy it again
+                cache = LayerCache(
+                    Tensor._wrap(np.concatenate([old.keys.data, cache.keys.data], axis=-2), "cache_append"),
+                    Tensor._wrap(np.concatenate([old.values.data, cache.values.data], axis=-2), "cache_append"),
+                    i,
+                )
             caches[i] = cache
-            k_positions = positions
-        o = attend(q, cache, self.attn_cfg, positions, k_positions)
-        return matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
-
-    def _mlp_out(self, i: int, x: Tensor) -> Tensor:
+        o = attend(q, cache, self.attn_cfg, positions, np.arange(cache.length))
+        x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
-        return matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])
+        return x + matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])
+
+    def _forward(self, tokens: np.ndarray, positions: np.ndarray, caches: dict) -> Tensor:
+        """Logits [B, t, vocab] for `tokens` [B, t] at `positions`, through
+        every layer's `_block` with the storage caches in `caches`."""
+        x = embed(self.params["embed"], tokens)
+        for i in range(1, self.cfg.n_layers + 1):
+            x = self._block(i, x, positions, caches)
+        h = rmsnorm(x, self.params["final_norm"])
+        return matmul(h, self.params["unembed"])
 
     def forward_logits(self, tokens, caches_out: dict | None = None) -> Tensor:
         """Full-sequence logits, shape [B, T, vocab].
@@ -250,14 +283,11 @@ class DecoderModel:
         during the pass (useful for inspecting cache reuse on the tape).
         """
         arr = self._check_tokens(tokens)
-        positions = np.arange(arr.shape[1])
-        x = embed(self.params["embed"], arr)
-        caches: dict[int, LayerCache] = caches_out if caches_out is not None else {}
-        for i in range(1, self.cfg.n_layers + 1):
-            x = x + self._attn_out(i, x, positions, caches)
-            x = x + self._mlp_out(i, x)
-        h = rmsnorm(x, self.params["final_norm"])
-        return matmul(h, self.params["unembed"])
+        caches: dict[int, LayerCache] = {}
+        logits = self._forward(arr, np.arange(arr.shape[1]), caches)
+        if caches_out is not None:
+            caches_out.update(caches)
+        return logits
 
     def forward_loss(self, tokens, loss_mask: np.ndarray | None = None) -> Tensor:
         """Mean next-token cross-entropy over the batch.
@@ -284,36 +314,6 @@ class DecoderModel:
 
     # -- incremental decoding ----------------------------------------------
 
-    def _decode_step(self, token_ids: np.ndarray, positions: np.ndarray, caches: dict, append: bool) -> np.ndarray:
-        """Run `token_ids` (shape [1, t]) at `positions` through the stack,
-        appending to storage caches; returns logits [t, vocab]."""
-        x = embed(self.params["embed"], token_ids)
-        for i in range(1, self.cfg.n_layers + 1):
-            xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
-            q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
-            q = apply_rope(q, positions, self.sched)
-            if i in self.plan.rules:
-                cache = self._reconstructed(i, caches, positions.size)
-            else:
-                new = self._layer_cache(i, xn, positions)
-                if append and i in caches:
-                    old = caches[i]
-                    # _wrap adopts the concatenated array; Tensor() would copy it again
-                    cache = LayerCache(
-                        Tensor._wrap(np.concatenate([old.keys.data, new.keys.data], axis=-2), "cache_append"),
-                        Tensor._wrap(np.concatenate([old.values.data, new.values.data], axis=-2), "cache_append"),
-                        i,
-                    )
-                else:
-                    cache = new
-                caches[i] = cache
-            o = attend(q, cache, self.attn_cfg, positions, np.arange(cache.length))
-            x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
-            x = x + self._mlp_out(i, x)
-        h = rmsnorm(x, self.params["final_norm"])
-        logits = matmul(h, self.params["unembed"])
-        return logits.numpy()[0]
-
     def decode(self, prompt, new_tokens: int) -> DecodeResult:
         """Greedy decoding with incremental caches for storage layers only.
 
@@ -333,9 +333,7 @@ class DecoderModel:
         self._check_tokens(prompt)
 
         caches: dict[int, LayerCache] = {}
-        logits_rows: list[np.ndarray] = []
-        prefill = self._decode_step(prompt[None, :], np.arange(prompt.size), caches, append=False)
-        logits_rows.extend(prefill)
+        logits_rows = list(self._forward(prompt[None, :], np.arange(prompt.size), caches).numpy()[0])
 
         tokens = list(prompt)
         for _ in range(new_tokens):
@@ -344,10 +342,8 @@ class DecoderModel:
             if len(tokens) == total:
                 break
             pos = len(tokens) - 1
-            step = self._decode_step(
-                np.array([[nxt]], dtype=prompt.dtype), np.array([pos]), caches, append=True
-            )
-            logits_rows.append(step[0])
+            step = self._forward(np.array([[nxt]], dtype=prompt.dtype), np.array([pos]), caches)
+            logits_rows.append(step.numpy()[0, 0])
 
         if set(caches) != set(self.plan.storage_layers):
             raise RuntimeError(

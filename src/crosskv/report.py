@@ -14,6 +14,7 @@ from pathlib import Path
 
 __all__ = [
     "code_version",
+    "write_heatmap",
     "write_manifest",
     "write_rows",
     "write_train_report",
@@ -72,6 +73,17 @@ def write_rows(directory: Path, name: str, columns, rows, mirror_json: bool = Fa
     return written
 
 
+def write_heatmap(directory: Path, name: str, hm, mirror_json: bool = False) -> list[Path]:
+    """Write a HeatmapResult as one row per (kind, target, source) weight."""
+    rows = []
+    for ti, target in enumerate(hm.targets):
+        for si, src in enumerate(hm.key_sources):
+            rows.append({"kind": "key", "target": target, "source": src, "weight": repr(float(hm.key_matrix[ti, si]))})
+        for si, src in enumerate(hm.value_sources):
+            rows.append({"kind": "value", "target": target, "source": src, "weight": repr(float(hm.value_matrix[ti, si]))})
+    return write_rows(directory, name, ("kind", "target", "source", "weight"), rows, mirror_json)
+
+
 def _fmt(x) -> str:
     return "" if x is None else repr(float(x))
 
@@ -95,12 +107,5 @@ def write_train_report(directory: Path, report, label: str = "", mirror_json: bo
     )
 
     if report.heatmap is not None:
-        hm = report.heatmap
-        rows = []
-        for ti, target in enumerate(hm.targets):
-            for si, src in enumerate(hm.key_sources):
-                rows.append({"kind": "key", "target": target, "source": src, "weight": repr(float(hm.key_matrix[ti, si]))})
-            for si, src in enumerate(hm.value_sources):
-                rows.append({"kind": "value", "target": target, "source": src, "weight": repr(float(hm.value_matrix[ti, si]))})
-        files += write_rows(directory, f"{prefix}fusion_weights", ("kind", "target", "source", "weight"), rows, mirror_json)
+        files += write_heatmap(directory, f"{prefix}fusion_weights", report.heatmap, mirror_json)
     return files

@@ -35,8 +35,6 @@ __all__ = [
     "scale",
     "matmul",
     "matmul_t",
-    "reshape",
-    "transpose",
     "repeat",
     "tsum",
     "softmax_causal",
@@ -405,32 +403,6 @@ def matmul_t(a, b) -> Tensor:
         return da, db
 
     return record_op("matmul_t", out, (a, b), backward)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-    out = a.data.reshape(shape).copy()
-    orig = a.shape
-
-    def backward(g):
-        return (g.reshape(orig),)
-
-    return record_op("reshape", out, (a,), backward)
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    out = np.ascontiguousarray(np.transpose(a.data, axes))
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (np.ascontiguousarray(np.transpose(g, inverse)),)
-
-    return record_op("transpose", out, (a,), backward)
 
 
 def repeat(a, n: int, axis: int) -> Tensor:

@@ -3,6 +3,7 @@ import pytest
 
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_heatmap
+from crosskv.sharing import STRATEGY_NAMES
 from crosskv.tensor import DimensionError, Tape, Tensor
 from crosskv.verify import _expected_parameter_count, toy_config
 
@@ -145,7 +146,7 @@ class TestDecode:
         m = build_model(small_cfg("FusedKV"), seed=11)
         prompt = np.arange(12) % 16
         caches = {}
-        m._decode_step(prompt[None, :], np.arange(12), caches, append=False)
+        m._forward(prompt[None, :], np.arange(12), caches)
         cache_size = next(iter(caches.values())).keys.size
         sizes = []
         wrap, init = Tensor._wrap.__func__, Tensor.__init__
@@ -160,9 +161,25 @@ class TestDecode:
 
         monkeypatch.setattr(Tensor, "_wrap", classmethod(counted_wrap))
         monkeypatch.setattr(Tensor, "__init__", counted_init)
-        m._decode_step(np.array([[3]]), np.array([12]), caches, append=True)
+        m._forward(np.array([[3]]), np.array([12]), caches)
         cache_sized = [n for n in sizes if n >= cache_size]
         assert len(cache_sized) == 2 * len(m.plan.storage_layers)
+
+    @pytest.mark.parametrize("n_kv_heads", [4, 2])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_prefill_is_forward_logits_bit_for_bit(self, strategy, n_kv_heads):
+        m = build_model(small_cfg(strategy, n_kv_heads=n_kv_heads), seed=14)
+        prompt = np.random.default_rng(15).integers(0, 16, size=9)
+        res = m.decode(prompt, 0)
+        assert np.array_equal(res.logits, m.forward_logits(prompt).numpy()[0])
+
+    @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion"])
+    def test_one_token_prompt_matches_full_recompute(self, strategy):
+        # the one-row prefill reads the stored caches through folded weights
+        m = build_model(small_cfg(strategy), seed=16)
+        res = m.decode(np.array([5]), 10)
+        full = m.forward_logits(res.tokens).numpy()[0]
+        assert np.abs(full[: len(res.logits)] - res.logits).max() <= 1e-10
 
     def test_zero_new_tokens_only_prefills(self):
         m = build_model(small_cfg(), seed=6)
@@ -232,6 +249,55 @@ class TestCheckpoint:
         path.write_bytes(b"nope" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
+
+    def test_key_set_mismatch_names_missing_and_extra(self):
+        fused = build_model(small_cfg("FusedKV"), seed=17).state_dict()
+        yoco = build_model(small_cfg("YOCO"), seed=17)
+        with pytest.raises(KeyError, match=r"extra \['fusion\.") as err:
+            yoco.load_state_dict(fused)
+        assert "missing []" in str(err.value)
+        del fused["layer1.w_q"]
+        with pytest.raises(KeyError, match=r"missing \['layer1\.w_q'\]"):
+            build_model(small_cfg("FusedKV"), seed=17).load_state_dict(fused)
+
+    def test_shape_mismatch_names_parameter_and_shapes(self):
+        m = build_model(small_cfg(), seed=18)
+        arrays = m.state_dict()
+        arrays["layer1.w_q"] = np.zeros((32, 16))
+        before = m.params["layer2.w_k"]
+        with pytest.raises(ValueError, match=r"'layer1\.w_q'.*\(32, 16\).*\(32, 32\)"):
+            m.load_state_dict(arrays)
+        assert m.params["layer2.w_k"] is before  # nothing replaced
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.arange(6.0).reshape(2, 3)}, path)
+        full = path.read_bytes()
+        # inside the header, before the dtype byte, inside the shape and the data
+        for cut in (6, 15, 20, len(full) - 1):
+            path.write_bytes(full[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.zeros(2)}, path)
+        raw = bytearray(path.read_bytes())
+        raw[4 + 8 + 2 + 1] = 7  # dtype byte after the header and the name "w"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown dtype code 7"):
+            load_checkpoint(path)
+
+    def test_scalar_weights_keep_their_shape(self, tmp_path):
+        m = build_model(small_cfg("DenseFusion"), seed=19)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(m.state_dict(), path)
+        loaded = load_checkpoint(path)
+        assert loaded["fusion.key.3.1"].shape == ()
+        # files written while 0-d arrays were saved as shape (1,) still load
+        loaded = {name: arr.reshape(1) if arr.ndim == 0 else arr for name, arr in loaded.items()}
+        m.load_state_dict(loaded)
+        assert m.fusion.key[(3, 1)].shape == ()
 
     def test_float32_tensors_round_trip(self, tmp_path):
         arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}

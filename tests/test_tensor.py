@@ -16,11 +16,9 @@ from crosskv.tensor import (
     matmul,
     matmul_t,
     repeat,
-    reshape,
     rmsnorm,
     softmax_causal,
     swiglu,
-    transpose,
 )
 
 
@@ -327,19 +325,6 @@ class TestTapeThreads:
 
 
 class TestStructuralOps:
-    def test_reshape_copies_and_checks_size(self):
-        x = rand(2, 6, seed=23)
-        y = reshape(x, (3, 4))
-        assert y.shape == (3, 4)
-        with pytest.raises(DimensionError):
-            reshape(x, (5, 2))
-
-    def test_transpose_roundtrip_gradient(self):
-        x = rand(2, 3, 4, seed=24)
-        w = rand(4, 3, 2, seed=25)
-        err = grad_check(lambda: (transpose(x, (2, 1, 0)) * w).sum(), [x])
-        assert err < 1e-8
-
     def test_repeat_groups_and_gradient(self):
         x = Tensor([[1.0], [2.0]])
         out = repeat(x, 3, axis=0)
