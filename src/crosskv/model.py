@@ -9,7 +9,9 @@ projections are biasless, and the MLP is a gated silu unit.
 Every pass runs one layer body, `_block`, through `_forward`: training
 and `forward_logits` over the whole sequence into a fresh cache dict,
 `decode` for its prefill and for each step, appending to the caches that
-only storage layers keep. Training records on the gradient tape; decode
+only storage layers keep. An append writes the step's rows into a buffer
+of `max_seq_len` rows (`LayerCache.append`); only the first step copies
+the prefill's rows in. Training records on the gradient tape; decode
 runs tape-free.
 """
 
@@ -68,6 +70,11 @@ class ModelConfig:
     d_ff: int | None = None  # gated-MLP width h; default 2 * d_model
 
     def __post_init__(self):
+        sizes = ("n_layers", "d_model", "n_query_heads", "n_kv_heads", "max_seq_len")
+        for name in sizes + (("d_ff",) if self.d_ff is not None else ()):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_query_heads != 0:
             raise DimensionError(f"d_model {self.d_model} not divisible by {self.n_query_heads} heads")
         if self.head_dim % 2 != 0:
@@ -122,6 +129,19 @@ class HeatmapResult:
     value_sources: tuple[int, ...]
     key_matrix: np.ndarray  # [len(targets), len(key_sources)]
     value_matrix: np.ndarray
+
+
+def _swap_head_axes(t: Tensor, grouped: tuple, out_shape: tuple, op: str) -> Tensor:
+    """`t` read as `grouped` [..., A, B, D], axes A and B swapped, then
+    reshaped to `out_shape`; one tape op. Splitting heads reads
+    [..., T, H*D] as [..., T, H, D]; merging reads [..., H, T, D] as is."""
+    swapped = np.ascontiguousarray(np.swapaxes(t.data.reshape(grouped), -2, -3))
+    in_shape, mid_shape = t.shape, swapped.shape
+
+    def backward(g):
+        return (np.ascontiguousarray(np.swapaxes(g.reshape(mid_shape), -2, -3)).reshape(in_shape),)
+
+    return record_op(op, swapped.reshape(out_shape), (t,), backward)
 
 
 class DecoderModel:
@@ -195,34 +215,15 @@ class DecoderModel:
         return arr
 
     def _split_heads(self, t: Tensor, n_heads: int) -> Tensor:
-        # [..., T, H*D] -> [..., H, T, D], one fused op
+        # [..., T, H*D] -> [..., H, T, D]
         lead, T = t.shape[:-2], t.shape[-2]
         depth = self.cfg.head_dim
-        nd = len(lead) + 3
-        perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-        out = np.ascontiguousarray(
-            t.data.reshape(lead + (T, n_heads, depth)).transpose(perm)
-        )
-        in_shape = t.shape
-
-        def backward(g):
-            return (np.ascontiguousarray(g.transpose(perm)).reshape(in_shape),)
-
-        return record_op("split_heads", out, (t,), backward)
+        return _swap_head_axes(t, lead + (T, n_heads, depth), lead + (n_heads, T, depth), "split_heads")
 
     def _merge_heads(self, t: Tensor) -> Tensor:
-        # [..., H, T, D] -> [..., T, H*D], one fused op
-        lead = t.shape[:-3]
+        # [..., H, T, D] -> [..., T, H*D]
         H, T, depth = t.shape[-3:]
-        nd = t.ndim
-        perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-        out = np.ascontiguousarray(t.data.transpose(perm)).reshape(lead + (T, H * depth))
-        in_shape = t.shape
-
-        def backward(g):
-            return (np.ascontiguousarray(g.reshape(lead + (T, H, depth)).transpose(perm)),)
-
-        return record_op("merge_heads", out, (t,), backward)
+        return _swap_head_axes(t, t.shape, t.shape[:-3] + (T, H * depth), "merge_heads")
 
     def _layer_cache(self, i: int, xn: Tensor, positions: np.ndarray) -> LayerCache:
         k = self._split_heads(matmul(xn, self.params[f"layer{i}.w_k"]), self.cfg.n_kv_heads)
@@ -243,25 +244,18 @@ class DecoderModel:
 
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage
-        layer appends its new keys and values to caches[i], or starts that
-        entry; the append is tape-free, so a taped pass starts from an
-        empty dict. A reconstruction layer reads the stored caches."""
+        layer appends its new keys and values to caches[i] in place (a
+        buffer of `max_seq_len` rows), or starts that entry; the append is
+        tape-free, so a taped pass starts from an empty dict. A
+        reconstruction layer reads the stored caches."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
             cache = self._reconstructed(i, caches, positions.size)
         else:
-            cache = self._layer_cache(i, xn, positions)
-            if i in caches:
-                old = caches[i]
-                # _wrap adopts the concatenated array; Tensor() would copy it again
-                cache = LayerCache(
-                    Tensor._wrap(np.concatenate([old.keys.data, cache.keys.data], axis=-2), "cache_append"),
-                    Tensor._wrap(np.concatenate([old.values.data, cache.values.data], axis=-2), "cache_append"),
-                    i,
-                )
-            caches[i] = cache
+            new = self._layer_cache(i, xn, positions)
+            caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new
         o = attend(q, cache, self.attn_cfg, positions, np.arange(cache.length))
         x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
@@ -325,6 +319,8 @@ class DecoderModel:
         prompt = np.asarray(prompt)
         if prompt.ndim != 1 or prompt.size == 0:
             raise ValueError("prompt must be a nonempty token vector")
+        if not isinstance(new_tokens, (int, np.integer)):
+            raise TypeError(f"new_tokens must be an integer, got {new_tokens!r}")
         if new_tokens < 0:
             raise ValueError("new_tokens must be nonnegative")
         total = prompt.size + new_tokens

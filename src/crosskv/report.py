@@ -2,15 +2,20 @@
 
 Every artifact directory gets a manifest holding the resolved
 configuration, the seed, and a code version string, which together are
-enough to reproduce the files exactly.
+enough to reproduce the files exactly, plus the host it ran on (Python,
+numpy, BLAS, thread settings, CPUs), which absolute times depend on.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
 import subprocess
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "code_version",
@@ -42,6 +47,23 @@ def code_version() -> str:
         return "unknown"
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def host_details() -> dict:
+    """Software and hardware that absolute timings depend on; an unset
+    thread variable is None."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 def write_manifest(directory: Path, command: str, config: dict, seed) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "manifest.json"
@@ -50,6 +72,7 @@ def write_manifest(directory: Path, command: str, config: dict, seed) -> Path:
         "config": config,
         "seed": seed,
         "code_version": code_version(),
+        "host": host_details(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rope import PairSymmetricWeight, expand_pairs
-from .tensor import DimensionError, Tensor
+from .tensor import DimensionError, Tensor, _check_finite
 
 __all__ = [
     "DIRECT",
@@ -233,17 +233,40 @@ def plan_for_strategy(strategy: str, n_layers: int, middle: int | None = None) -
     return half_plan(CacheRule((key_src,), DIRECT), CacheRule((value_src,), DIRECT))
 
 
+class _CacheBuffer:
+    """Writable K and V storage of one layer at a fixed row capacity, and
+    how many rows are written. Rows below `rows` never change again."""
+
+    __slots__ = ("keys", "values", "rows")
+
+    def __init__(self, like: Tensor, capacity: int):
+        shape = like.shape[:-2] + (capacity, like.shape[-1])
+        self.keys = np.empty(shape, dtype=like.dtype)
+        self.values = np.empty(shape, dtype=like.dtype)
+        self.rows = 0
+
+    def write(self, keys: np.ndarray, values: np.ndarray, layer: int) -> None:
+        added = np.s_[..., self.rows : self.rows + keys.shape[-2], :]
+        for buf, rows in ((self.keys, keys), (self.values, values)):
+            buf[added] = rows
+            _check_finite(buf[added], f"layer {layer} cache append")
+        self.rows += keys.shape[-2]
+
+
 @dataclass
 class LayerCache:
     """Post-rotation keys and values of one layer, shape [..., H_kv, s, D].
 
-    Only storage layers ever persist one of these across decode steps;
-    reconstruction layers see transient instances.
+    Only storage layers ever persist one of these across decode steps,
+    growing by `append`; reconstruction layers see transient instances. A
+    cache that came from `append` holds read-only row-prefix views of a
+    buffer preallocated at the decode capacity; its values never change.
     """
 
     keys: Tensor
     values: Tensor
     layer: int
+    _buffer: _CacheBuffer | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.keys.shape != self.values.shape:
@@ -264,6 +287,34 @@ class LayerCache:
     @property
     def value_terms(self) -> tuple:
         return ((self.values, None),)
+
+    def append(self, new: "LayerCache", capacity: int) -> "LayerCache":
+        """This cache's rows followed by `new`'s, in a buffer of `capacity` rows.
+
+        The first append copies this cache's rows into a fresh buffer; an
+        append to the buffer's newest cache writes only the new rows. Rows
+        are checked finite as they are written. Appending to an older cache
+        copies into a fresh buffer, so the newer cache's rows stay as they
+        are. Tape-free: the result records no gradient.
+        """
+        n, m = self.length, new.length
+        if new.keys.shape[:-2] != self.keys.shape[:-2] or new.keys.shape[-1] != self.keys.shape[-1]:
+            raise DimensionError(f"layer {self.layer}: cannot append {new.keys.shape} to {self.keys.shape}")
+        if new.keys.dtype != self.keys.dtype:
+            raise TypeError(f"layer {self.layer}: cannot append {new.keys.dtype} rows to a {self.keys.dtype} cache")
+        if n + m > capacity:
+            raise ValueError(f"layer {self.layer}: {n} + {m} cache rows exceed capacity {capacity}")
+        buf = self._buffer
+        if buf is None or buf.rows != n or buf.keys.shape[-2] < n + m:
+            buf = _CacheBuffer(self.keys, capacity)
+            buf.write(self.keys.data, self.values.data, self.layer)
+        buf.write(new.keys.data, new.values.data, self.layer)
+        return LayerCache(
+            Tensor._adopt_rows(buf.keys[..., : n + m, :]),
+            Tensor._adopt_rows(buf.values[..., : n + m, :]),
+            self.layer,
+            buf,
+        )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Outside a tape, the same functions are plain (and fast) numpy calls, which
 is the path incremental decoding uses.
 
 Conventions:
-  - reshapes and transposes copy; there are no strided views,
+  - reshapes and transposes copy; the one strided view is a decode
+    cache's row prefix `buf[..., :n, :]` of a preallocated buffer
+    (`sharing.LayerCache.append`), read-only and never written again,
   - float64 is the default dtype (float32 is opt-in for training),
   - every exposed operation produces finite values or raises
     `EvaluationError`.
@@ -104,6 +106,19 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         t.data = arr
+        t.tape = None
+        t.node_id = None
+        return t
+
+    @classmethod
+    def _adopt_rows(cls, view: np.ndarray) -> "Tensor":
+        """Adopt a row-prefix view of a cache buffer as is: no copy, no
+        contiguity, no finite check (its rows were checked when written).
+        The view turns read-only; the buffer behind it stays writable for
+        rows past the view."""
+        view.setflags(write=False)
+        t = object.__new__(cls)
+        t.data = view
         t.tape = None
         t.node_id = None
         return t

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,22 @@ class TestDecodeBench:
             assert int(rows[s][elem_idx]) * 2 == vanilla
         dev_idx = header.index("incremental_vs_full_max_dev")
         assert all(float(r[dev_idx]) < 1e-10 for r in rows.values())
+
+    def test_manifest_records_host(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        args = ["decode-bench", "--strategies", "Vanilla,YOCO", "--seed", "2", "--prompt-len", "4",
+                "--new-tokens", "2", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_OK
+        host = json.loads((tmp_path / "manifest.json").read_text())["host"]
+        assert host["python"] == platform.python_version()
+        assert host["numpy"] == np.__version__
+        assert set(host["blas"]) == {"name", "version"}
+        assert host["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert host["threads"]["MKL_NUM_THREADS"] is None
+        assert "OMP_NUM_THREADS" in host["threads"]
+        assert host["cpu_count"] == os.cpu_count()
+        assert host["platform"] == platform.platform()
 
 
 class TestCompareCommand:

@@ -17,7 +17,7 @@ from crosskv.sharing import (
     reconstruct,
     sample_iterative_weights,
 )
-from crosskv.tensor import DimensionError, Tensor
+from crosskv.tensor import DimensionError, EvaluationError, Tensor
 
 
 def random_caches(layers, shape=(2, 4, 8), seed=0):
@@ -297,3 +297,80 @@ class TestLayerCache:
     def test_length_property(self):
         c = LayerCache(Tensor(np.ones((2, 7, 4))), Tensor(np.ones((2, 7, 4))), 1)
         assert c.length == 7
+
+
+def rows_cache(start, count, layer=1, shape=(2, 3), dtype=np.float64):
+    """A cache whose row r holds the value r (keys) and -r (values)."""
+    heads, depth = shape
+    grid = np.broadcast_to(np.arange(start, start + count, dtype=dtype)[None, :, None], (heads, count, depth))
+    return LayerCache(Tensor(grid, dtype=dtype), Tensor(-grid, dtype=dtype), layer)
+
+
+class TestLayerCacheAppend:
+    def test_rows_follow_in_order(self):
+        c = rows_cache(0, 3).append(rows_cache(3, 2), capacity=8).append(rows_cache(5, 1), capacity=8)
+        assert c.length == 6
+        np.testing.assert_array_equal(c.keys.numpy()[0, :, 0], np.arange(6))
+        np.testing.assert_array_equal(c.values.numpy()[1, :, 2], -np.arange(6))
+
+    def test_later_appends_share_one_buffer(self):
+        first = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
+        second = first.append(rows_cache(4, 1), capacity=8)
+        assert np.may_share_memory(first.keys.numpy(), second.keys.numpy())
+        assert np.may_share_memory(first.values.numpy(), second.values.numpy())
+
+    def test_earlier_caches_keep_their_values(self):
+        start = rows_cache(0, 3)
+        c1 = start.append(rows_cache(3, 1), capacity=8)
+        seen = c1.keys.numpy().copy()
+        c2 = c1.append(rows_cache(4, 2), capacity=8)
+        c2.append(rows_cache(6, 2), capacity=8)
+        np.testing.assert_array_equal(c1.keys.numpy(), seen)
+        assert start.length == 3 and c1.length == 4
+
+    def test_append_to_older_cache_leaves_newer_untouched(self):
+        c1 = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
+        c2 = c1.append(rows_cache(4, 1), capacity=8)
+        newer = c2.keys.numpy().copy()
+        branch = c1.append(rows_cache(40, 1), capacity=8)
+        np.testing.assert_array_equal(c2.keys.numpy(), newer)
+        assert branch.keys.numpy()[0, 4, 0] == 40
+        assert not np.may_share_memory(branch.keys.numpy(), c2.keys.numpy())
+
+    def test_append_past_capacity_rejected(self):
+        full = rows_cache(0, 3, layer=5).append(rows_cache(3, 2), capacity=5)
+        assert full.length == 5
+        with pytest.raises(ValueError, match="layer 5"):
+            full.append(rows_cache(5, 1), capacity=5)
+        with pytest.raises(ValueError, match="layer 5"):
+            rows_cache(0, 3, layer=5).append(rows_cache(3, 3), capacity=5)
+
+    def test_larger_capacity_moves_to_a_fresh_buffer(self):
+        full = rows_cache(0, 3).append(rows_cache(3, 2), capacity=5)
+        grown = full.append(rows_cache(5, 1), capacity=8)
+        np.testing.assert_array_equal(grown.keys.numpy()[0, :, 0], np.arange(6))
+        assert not np.may_share_memory(grown.keys.numpy(), full.keys.numpy())
+
+    def test_views_are_read_only(self):
+        c = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
+        for arr in (c.keys.numpy(), c.values.numpy()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+
+    def test_non_finite_row_rejected(self):
+        bad = rows_cache(3, 1)
+        bad.values.numpy().setflags(write=True)  # corrupt the rows behind the Tensor check
+        bad.values.numpy()[0, 0, 1] = np.nan
+        with pytest.raises(EvaluationError, match="layer 1"):
+            rows_cache(0, 3).append(bad, capacity=8)
+
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(DimensionError, match="layer 1"):
+            rows_cache(0, 3).append(rows_cache(3, 1, shape=(2, 4)), capacity=8)
+        with pytest.raises(TypeError, match="layer 1"):
+            rows_cache(0, 3).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
+
+    def test_float32_stays_float32(self):
+        c = rows_cache(0, 3, dtype=np.float32).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
+        assert c.keys.dtype == np.float32 and c.values.dtype == np.float32
