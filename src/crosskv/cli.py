@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, verify, cost, heatmap, decode-bench, compare. Options
-are long-form kebab-case flags; a plain key=value config file can supply
-defaults (flags win). Every run writes a manifest (resolved config, seed,
-code version) next to its artifacts; CSV is the primary format with an
-optional JSON mirror.
+are long-form kebab-case flags; model flags take `ModelConfig`'s defaults
+and checks. For the commands with model flags, `--config FILE` holds
+`key = value` lines naming model flags, parsed as flags placed ahead of
+the command line's, so flags win. Every run writes a manifest (resolved
+config, seed, code version) next to its artifacts; CSV is the primary
+format with an optional JSON mirror.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure or
 training divergence, 3 invariant violation in `verify`.
@@ -25,11 +27,12 @@ from .costmodel import (
     SWEEP_COLUMNS,
     WorkloadSpec,
     load_device_profile,
+    read_key_values,
     sweep,
 )
 from .model import ModelConfig, build_model, fusion_weight_heatmap
 from .report import write_heatmap, write_manifest, write_rows, write_train_report
-from .training import OptimizerParams, TrainingDivergedError, train
+from .training import TASK_NAMES, OptimizerParams, TrainingDivergedError, train
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -49,47 +52,100 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict[str, str] = {}
+def _positive_int(text: str) -> int:
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _names(text: str) -> list[str]:
+    names = [name for name in text.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected a comma list of names, got {text!r}")
+    return names
+
+
+def _lengths(text: str) -> list[int]:
+    """'2048..32768' doubles from start to end; comma lists pass through."""
+    try:
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+            lengths = []
+            while 0 < lo <= hi:
+                lengths.append(lo)
+                lo *= 2
+        else:
+            lengths = [int(t) for t in text.split(",") if t]
+    except ValueError:
+        lengths = []
+    if not lengths or min(lengths) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive lengths as 'a..b' or a comma list, got {text!r}")
+    return lengths
+
+
+# Model flag -> (ModelConfig field, value type). ModelConfig supplies the
+# defaults and checks the values; the keys name the manifest's entries.
+_MODEL_FLAGS = {
+    "strategy": ("strategy", str),
+    "layers": ("n_layers", int),
+    "d_model": ("d_model", int),
+    "query_heads": ("n_query_heads", int),
+    "kv_heads": ("n_kv_heads", int),
+    "vocab": ("vocab_size", int),
+    "max_seq": ("max_seq_len", int),
+    "middle": ("middle", int),
+    "init_scheme": ("init_scheme", str),
+    "init_std": ("init_std", float),
+    "rope_base": ("rope_base", float),
+    "precision": ("precision", str),
+}
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    defaults = ModelConfig()
+    for key, (field, kind) in _MODEL_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=getattr(defaults, field))
+
+
+def _model_settings(args) -> dict:
+    return {key: getattr(args, key) for key in _MODEL_FLAGS}
+
+
+def _model_config(args, strategy: str | None = None) -> ModelConfig:
+    fields = {field: getattr(args, key) for key, (field, _) in _MODEL_FLAGS.items()}
+    try:
+        return ModelConfig(**{**fields, "strategy": strategy or args.strategy})
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e))
+
+
+def _config_flags(path: str) -> list[str]:
+    """A config file's `key = value` lines as `--key=value` flags."""
+    try:
+        values = read_key_values(path)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
-    return values
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer flag values over config-file values over built-in defaults."""
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            raw = file_cfg[key]
-            caster = type(default) if default is not None else str
-            if caster is bool:
-                resolved[key] = raw.lower() in ("1", "true", "yes")
-            else:
-                try:
-                    resolved[key] = caster(raw)
-                except ValueError:
-                    raise ConfigError(f"config file value {key}={raw!r} is not a {caster.__name__}")
-        else:
-            resolved[key] = default
-    unknown = set(file_cfg) - set(defaults)
+    except ValueError as e:
+        raise ConfigError(str(e))
+    unknown = sorted(key for key in values if key.replace("-", "_") not in _MODEL_FLAGS)
     if unknown:
-        raise ConfigError(f"config file has unknown keys: {sorted(unknown)}")
-    return resolved
+        raise ConfigError(f"config file has unknown keys: {unknown}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse the command line. A command with model flags reads its
+    --config file's lines as flags placed ahead of the command line's own,
+    so the same parser checks them and the command line's flags win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) and all(hasattr(args, key) for key in _MODEL_FLAGS):
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    return args
 
 
 def _output_dir(args) -> Path:
@@ -98,78 +154,19 @@ def _output_dir(args) -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
 
 
-_MODEL_DEFAULTS = dict(
-    strategy="Vanilla",
-    layers=8,
-    d_model=64,
-    query_heads=8,
-    kv_heads=8,
-    vocab=64,
-    max_seq=128,
-    middle=None,
-    init_scheme="normal",
-    init_std=0.02,
-    rope_base=10000.0,
-    precision="double",
-)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--d-model", type=int)
-    p.add_argument("--query-heads", type=int)
-    p.add_argument("--kv-heads", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--max-seq", type=int)
-    p.add_argument("--middle", type=int)
-    p.add_argument("--init-scheme", choices=("normal", "equivalent"))
-    p.add_argument("--init-std", type=float)
-    p.add_argument("--rope-base", type=float)
-    p.add_argument("--precision", choices=("double", "single"))
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value defaults file; flags win")
+    p.add_argument("--config", help="key=value file of model flags; flags win")
     p.add_argument("--output-dir", help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./runs)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="json adds JSON mirrors of each CSV")
 
 
-def _model_config(resolved: dict, strategy: str | None = None) -> ModelConfig:
-    try:
-        return ModelConfig(
-            n_layers=resolved["layers"],
-            d_model=resolved["d_model"],
-            n_query_heads=resolved["query_heads"],
-            n_kv_heads=resolved["kv_heads"],
-            vocab_size=resolved["vocab"],
-            max_seq_len=resolved["max_seq"],
-            strategy=strategy or resolved["strategy"],
-            middle=resolved["middle"],
-            init_scheme=resolved["init_scheme"],
-            init_std=resolved["init_std"],
-            rope_base=resolved["rope_base"],
-            precision=resolved["precision"],
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e))
-
-
-def _parse_lengths(text: str) -> list[int]:
-    """'2048..32768' doubles from start to end; comma lists pass through."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo <= 0 or hi < lo:
-            raise ConfigError(f"bad length range {text!r}")
-        out = []
-        s = lo
-        while s <= hi:
-            out.append(s)
-            s *= 2
-        return out
-    return [int(tok) for tok in text.split(",") if tok]
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--task", choices=TASK_NAMES, default="copy")
+    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--batch-size", type=_positive_int, default=8)
+    p.add_argument("--learning-rate", type=float, default=OptimizerParams.learning_rate)
+    p.add_argument("--prompt-len", type=_positive_int, default=8, help="copy-task prompt length")
 
 
 def build_parser() -> _Parser:
@@ -179,13 +176,8 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train one strategy on a synthetic task")
     _add_common_flags(p_train)
     _add_model_flags(p_train)
-    p_train.add_argument("--task", choices=("copy", "induction-heads", "char-corpus"), default="copy")
-    p_train.add_argument("--steps", type=int, default=200)
-    p_train.add_argument("--seed", type=int, required=True)
-    p_train.add_argument("--batch-size", type=int, default=8)
-    p_train.add_argument("--learning-rate", type=float, default=3e-3)
-    p_train.add_argument("--eval-interval", type=int, default=25)
-    p_train.add_argument("--prompt-len", type=int, default=8, help="copy-task prompt length")
+    _add_train_flags(p_train)
+    p_train.add_argument("--eval-interval", type=_positive_int, default=25)
     p_train.add_argument("--save-checkpoint", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run module invariant suites")
@@ -195,14 +187,14 @@ def build_parser() -> _Parser:
 
     p_cost = sub.add_parser("cost", help="analytic cost and roofline sweep")
     _add_common_flags(p_cost)
-    p_cost.add_argument("--methods", default="MHA,YOCO,FusedKV-Lite,FusedKV")
-    p_cost.add_argument("--S", "--seq-lens", dest="seq_lens", default="1024..32768",
+    p_cost.add_argument("--methods", type=_names, default="MHA,YOCO,FusedKV-Lite,FusedKV")
+    p_cost.add_argument("--S", "--seq-lens", dest="seq_lens", type=_lengths, default="1024..32768",
                         help="prefill lengths: 'a..b' doubles from a to b, or a comma list")
-    p_cost.add_argument("--layers", type=int, default=24)
-    p_cost.add_argument("--head-dim", type=int, default=128)
-    p_cost.add_argument("--query-heads", type=int, default=16)
-    p_cost.add_argument("--kv-heads", type=int, default=16)
-    p_cost.add_argument("--bytes-per-element", type=int, default=2)
+    p_cost.add_argument("--layers", type=_positive_int, default=24)
+    p_cost.add_argument("--head-dim", type=_positive_int, default=128)
+    p_cost.add_argument("--query-heads", type=_positive_int, default=16)
+    p_cost.add_argument("--kv-heads", type=_positive_int, default=16)
+    p_cost.add_argument("--bytes-per-element", type=_positive_int, default=2)
     p_cost.add_argument("--device", action="append", help=f"preset name ({', '.join(DEVICE_PRESETS)}); repeatable")
     p_cost.add_argument("--device-file", action="append", help="key=value device profile file; repeatable")
     p_cost.add_argument("--weight-bytes", type=float, default=0.0)
@@ -216,49 +208,45 @@ def build_parser() -> _Parser:
     p_dec = sub.add_parser("decode-bench", help="greedy decode with cache accounting")
     _add_common_flags(p_dec)
     _add_model_flags(p_dec)
-    p_dec.add_argument("--strategies", help="comma list; defaults to --strategy")
+    p_dec.add_argument("--strategies", type=_names, help="comma list; defaults to --strategy")
     p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument("--prompt-len", type=int, default=32)
+    p_dec.add_argument("--prompt-len", type=_positive_int, default=32)
     p_dec.add_argument("--new-tokens", type=int, default=16)
 
     p_cmp = sub.add_parser("compare", help="train several strategies under one seed and merge reports")
     _add_common_flags(p_cmp)
     _add_model_flags(p_cmp)
-    p_cmp.add_argument("--strategies", required=True, help="comma list, at least two")
-    p_cmp.add_argument("--task", choices=("copy", "induction-heads", "char-corpus"), default="copy")
-    p_cmp.add_argument("--steps", type=int, default=200)
-    p_cmp.add_argument("--seed", type=int, required=True)
-    p_cmp.add_argument("--batch-size", type=int, default=8)
-    p_cmp.add_argument("--learning-rate", type=float, default=3e-3)
-    p_cmp.add_argument("--prompt-len", type=int, default=8)
+    p_cmp.add_argument("--strategies", type=_names, required=True, help="comma list, at least two")
+    _add_train_flags(p_cmp)
     return parser
 
 
-def _cmd_train(args) -> int:
-    resolved = _resolve(args, _MODEL_DEFAULTS)
-    cfg = _model_config(resolved)
-    outdir = _output_dir(args)
-    mirror = args.format == "json"
+def _train_model(args, cfg: ModelConfig, **options):
+    """Build `cfg`'s model and train it with the shared training flags."""
     model = build_model(cfg, seed=args.seed)
-    opt = OptimizerParams(learning_rate=args.learning_rate)
     report = train(
         model,
         args.task,
         args.steps,
-        opt=opt,
+        opt=OptimizerParams(learning_rate=args.learning_rate),
         seed=args.seed,
         batch_size=args.batch_size,
-        eval_interval=args.eval_interval,
         task_options={"prompt_len": args.prompt_len},
+        **options,
     )
-    write_manifest(
-        outdir,
-        "train",
-        {**resolved, "task": args.task, "steps": args.steps, "batch_size": args.batch_size,
-         "learning_rate": args.learning_rate, "prompt_len": args.prompt_len},
-        args.seed,
-    )
-    write_train_report(outdir, report, mirror_json=mirror)
+    return model, report
+
+
+def _train_settings(args) -> dict:
+    return {key: getattr(args, key) for key in ("task", "steps", "batch_size", "learning_rate", "prompt_len")}
+
+
+def _cmd_train(args) -> int:
+    cfg = _model_config(args)
+    outdir = _output_dir(args)
+    model, report = _train_model(args, cfg, eval_interval=args.eval_interval)
+    write_manifest(outdir, "train", {**_model_settings(args), **_train_settings(args)}, args.seed)
+    write_train_report(outdir, report, mirror_json=args.format == "json")
     if args.save_checkpoint:
         save_checkpoint(model.state_dict(), outdir / "model.ckpt")
     print(
@@ -287,8 +275,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    methods = [m for m in args.methods.split(",") if m]
-    lengths = _parse_lengths(args.seq_lens)
+    methods, lengths = args.methods, args.seq_lens
     devices = []
     for name in args.device or []:
         if name not in DEVICE_PRESETS:
@@ -301,11 +288,11 @@ def _cmd_cost(args) -> int:
             raise ConfigError(f"device file {path}: {e}")
     if not devices:
         devices = [DEVICE_PRESETS["hbm-accelerator"]]
-    specs = [
-        WorkloadSpec(args.layers, s, args.head_dim, args.query_heads, args.kv_heads, args.bytes_per_element)
-        for s in lengths
-    ]
     try:
+        specs = [
+            WorkloadSpec(args.layers, s, args.head_dim, args.query_heads, args.kv_heads, args.bytes_per_element)
+            for s in lengths
+        ]
         rows = sweep(methods, specs, devices, args.weight_bytes)
     except ValueError as e:
         raise ConfigError(str(e))
@@ -325,9 +312,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    resolved = _resolve(args, _MODEL_DEFAULTS)
-    cfg = _model_config(resolved)
-    model = build_model(cfg, seed=args.seed)
+    model = build_model(_model_config(args), seed=args.seed)
     if args.checkpoint:
         try:
             model.load_state_dict(load_checkpoint(args.checkpoint))
@@ -338,19 +323,20 @@ def _cmd_heatmap(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e))
     outdir = _output_dir(args)
-    write_manifest(outdir, "heatmap", {**resolved, "checkpoint": args.checkpoint}, args.seed)
+    write_manifest(outdir, "heatmap", {**_model_settings(args), "checkpoint": args.checkpoint}, args.seed)
     write_heatmap(outdir, "fusion_weights", hm, mirror_json=args.format == "json")
     print(f"heatmap: {len(hm.targets)} targets x ({len(hm.key_sources)} key / {len(hm.value_sources)} value sources) -> {outdir}")
     return EXIT_OK
 
 
 def _cmd_decode_bench(args) -> int:
-    resolved = _resolve(args, _MODEL_DEFAULTS)
-    strategies = [s for s in (args.strategies or resolved["strategy"]).split(",") if s]
+    strategies = args.strategies or args.strategy.split(",")
+    if args.new_tokens < 0:
+        raise ConfigError(f"argument --new-tokens: expected a nonnegative integer, got {args.new_tokens}")
     rng = np.random.default_rng(args.seed)
     rows = []
     for strategy in strategies:
-        cfg = _model_config(resolved, strategy=strategy)
+        cfg = _model_config(args, strategy=strategy)
         if args.prompt_len + args.new_tokens > cfg.max_seq_len:
             raise ConfigError(
                 f"prompt {args.prompt_len} + new tokens {args.new_tokens} exceeds max sequence {cfg.max_seq_len}"
@@ -372,16 +358,9 @@ def _cmd_decode_bench(args) -> int:
             }
         )
     outdir = _output_dir(args)
-    write_manifest(outdir, "decode-bench", {**resolved, "strategies": strategies,
+    write_manifest(outdir, "decode-bench", {**_model_settings(args), "strategies": strategies,
                                             "prompt_len": args.prompt_len, "new_tokens": args.new_tokens}, args.seed)
-    write_rows(
-        outdir,
-        "decode_bench",
-        ("strategy", "prompt_len", "new_tokens", "peak_cache_layers", "peak_cache_elements",
-         "cache_length", "incremental_vs_full_max_dev"),
-        rows,
-        mirror_json=args.format == "json",
-    )
+    write_rows(outdir, "decode_bench", rows[0], rows, mirror_json=args.format == "json")
     for row in rows:
         print(
             f"decode {row['strategy']}: {row['peak_cache_layers']} cached layers, "
@@ -391,35 +370,19 @@ def _cmd_decode_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    resolved = _resolve(args, _MODEL_DEFAULTS)
-    strategies = [s for s in args.strategies.split(",") if s]
+    strategies = args.strategies
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
+    configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
     outdir = _output_dir(args)
     mirror = args.format == "json"
-    write_manifest(
-        outdir,
-        "compare",
-        {**resolved, "strategies": strategies, "task": args.task, "steps": args.steps,
-         "batch_size": args.batch_size, "learning_rate": args.learning_rate,
-         "prompt_len": args.prompt_len},
-        args.seed,
-    )
+    write_manifest(outdir, "compare", {**_model_settings(args), "strategies": strategies, **_train_settings(args)},
+                   args.seed)
     summaries = []
     losses: dict[str, list[float]] = {}
-    for strategy in strategies:
-        cfg = _model_config(resolved, strategy=strategy)
-        model = build_model(cfg, seed=args.seed)
+    for strategy, cfg in zip(strategies, configs):
         try:
-            report = train(
-                model,
-                args.task,
-                args.steps,
-                opt=OptimizerParams(learning_rate=args.learning_rate),
-                seed=args.seed,
-                batch_size=args.batch_size,
-                task_options={"prompt_len": args.prompt_len},
-            )
+            model, report = _train_model(args, cfg)
         except TrainingDivergedError as e:
             # keep the artifacts of the finished members
             print(f"compare: {strategy} diverged at step {e.step}; partial artifacts kept", file=sys.stderr)
@@ -459,13 +422,7 @@ def _write_compare_files(outdir, strategies, losses, summaries, mirror) -> None:
             rows.append(row)
         write_rows(outdir, "compare_losses", ["step"] + list(strategies), rows, mirror_json=mirror)
     if summaries:
-        write_rows(
-            outdir,
-            "compare_summary",
-            ("strategy", "initial_loss", "final_loss", "peak_cache_elements", "peak_cache_layers", "note"),
-            summaries,
-            mirror_json=mirror,
-        )
+        write_rows(outdir, "compare_summary", summaries[0], summaries, mirror_json=mirror)
 
 
 _COMMANDS = {
@@ -481,7 +438,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"crosskv: configuration error: {e}", file=sys.stderr)

@@ -31,6 +31,7 @@ __all__ = [
     "roofline_latency",
     "sweep",
     "load_device_profile",
+    "read_key_values",
 ]
 
 COST_METHODS = ("MHA", "YOCO", "FusedKV-Lite", "FusedKV")
@@ -245,18 +246,26 @@ def sweep(
     return rows
 
 
-def load_device_profile(path) -> DeviceProfile:
-    """Parse a plain key=value file with label, peak_flops, bandwidth."""
-    fields: dict[str, str] = {}
+def read_key_values(path) -> dict[str, str]:
+    """Parse a plain `key = value` file; blank lines and `#` comments are
+    skipped, and a later key overrides an earlier one. A line without `=`
+    raises ValueError naming the file and the line."""
+    values: dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad device profile line: {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+            values[key.strip()] = value.strip()
+    return values
+
+
+def load_device_profile(path) -> DeviceProfile:
+    """Read a key=value file with label, peak_flops, bandwidth."""
+    fields = read_key_values(path)
     missing = {"label", "peak_flops", "bandwidth"} - set(fields)
     if missing:
         raise ValueError(f"device profile missing keys: {sorted(missing)}")

@@ -47,7 +47,6 @@ class OptimizerParams:
     eps: float = 1e-8
     weight_decay: float = 0.01  # decoupled; applied to matrices only
     grad_clip: float = 1.0  # global norm; <= 0 disables
-    cosine: bool = False  # cosine decay of the learning rate over the run
 
 
 @dataclass
@@ -201,7 +200,7 @@ def train(
 
     for step in range(steps):
         try:
-            grads = _train_step(model, task, rng, batch_size, task_options, opt, step, steps, m_state, v_state, losses)
+            grads = _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, v_state, losses)
         except EvaluationError:
             raise TrainingDivergedError(step) from None
         if step % eval_interval == 0 or step == steps - 1:
@@ -211,7 +210,7 @@ def train(
     return TrainReport(losses, records, heatmap)
 
 
-def _train_step(model, task, rng, batch_size, task_options, opt, step, steps, m_state, v_state, losses) -> dict:
+def _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, v_state, losses) -> dict:
     """One batch, one backward pass, one optimizer update; returns the
     (possibly clipped) gradients for instrumentation."""
     tokens, mask = make_batch(task, rng, model.cfg.vocab_size, batch_size, task_options)
@@ -235,8 +234,6 @@ def _train_step(model, task, rng, batch_size, task_options, opt, step, steps, m_
             grads = {k: g * ratio for k, g in grads.items()}
 
     lr = opt.learning_rate
-    if opt.cosine:
-        lr = opt.learning_rate * 0.5 * (1.0 + math.cos(math.pi * step / steps))
     t = step + 1
     dt = model.cfg.dtype
     for name, p in names:

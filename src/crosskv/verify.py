@@ -2,8 +2,9 @@
 
 Each suite returns a list of `CheckResult`s; the command-line `verify`
 subcommand prints one line per check and fails (exit code 3) naming the
-first violated invariant. The acceptance tests reuse these functions so
-there is a single implementation of every checked property.
+first violated invariant. The fast suites (all but `model`) also run in
+the test suite, through `run_suite`; the acceptance tests take only
+`toy_config` and `COUNTEREXAMPLE` from here.
 
 Tolerances are fixed here, not configurable: they are part of the
 contract being verified.
@@ -22,6 +23,7 @@ from .model import DecoderModel, ModelConfig, build_model
 from .rope import PairSymmetricWeight, RopeSchedule, apply_rope, fused_key_score, score_decomposed, score_direct
 from .sharing import (
     DIRECT,
+    STRATEGY_NAMES,
     FusionWeights,
     LayerCache,
     folded_cache,
@@ -37,28 +39,12 @@ from .tensor import Tape, Tensor, grad_check, matmul, rmsnorm, softmax_causal, s
 __all__ = [
     "CheckResult",
     "SUITES",
-    "STRATEGY_CATALOG",
     "toy_config",
     "run_suite",
     "run_suites",
     # pinned regression case for the asymmetric-weight counterexample
     "COUNTEREXAMPLE",
 ]
-
-# Strategy catalog exercised by the model-level checks. GQA uses one kv
-# head for two query heads; everything else runs as plain MHA.
-STRATEGY_CATALOG = (
-    "Vanilla",
-    "GQA",
-    "CLA",
-    "YOCO",
-    "FusedKV",
-    "FusedKV-Lite",
-    "FusedKV-Lite-Rev",
-    "FusedKV-Lite-Learnable",
-    "DenseFusion",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -279,7 +265,7 @@ def _sharing_checks() -> list[CheckResult]:
 
     # Every catalog plan constructs and reads only storage caches.
     ok = True
-    for strategy in STRATEGY_CATALOG + ("value1key3",):
+    for strategy in STRATEGY_NAMES + ("value1key3",):
         plan = plan_for_strategy(strategy, 8)
         storage = set(plan.storage_layers)
         for i in plan.reconstruction_layers:
@@ -349,7 +335,7 @@ def _sharing_checks() -> list[CheckResult]:
     # Memory accounting: persistent caches == storage layers; half for L/2 plans.
     ok = True
     details = []
-    for strategy in STRATEGY_CATALOG:
+    for strategy in STRATEGY_NAMES:
         cfg = ModelConfig(
             n_layers=8,
             d_model=32,
@@ -462,7 +448,7 @@ def _expected_parameter_count(cfg: ModelConfig, plan) -> int:
     return total
 
 
-def _model_checks(strategies: Sequence[str] = STRATEGY_CATALOG) -> list[CheckResult]:
+def _model_checks(strategies: Sequence[str] = STRATEGY_NAMES) -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(51)
 

@@ -27,6 +27,7 @@ from crosskv.rope import (
     score_direct,
 )
 from crosskv.sharing import (
+    STRATEGY_NAMES,
     LayerCache,
     folded_cache,
     init_equivalent,
@@ -38,7 +39,7 @@ from crosskv.sharing import (
 )
 from crosskv.tensor import Tensor, grad_check
 from crosskv.training import train
-from crosskv.verify import COUNTEREXAMPLE, STRATEGY_CATALOG, toy_config
+from crosskv.verify import COUNTEREXAMPLE, toy_config
 
 SCHED = RopeSchedule(8)
 
@@ -212,7 +213,7 @@ def test_criterion_06_roofline_ratios():
 def test_criterion_07_gradients_every_strategy():
     rng = np.random.default_rng(1007)
     margins = []
-    for strategy in STRATEGY_CATALOG:
+    for strategy in STRATEGY_NAMES:
         model = build_model(toy_config(strategy), seed=42)
         tokens = rng.integers(0, 7, size=(1, 5))
         err = grad_check(lambda: model.forward_loss(tokens), [p for _, p in model.parameters()])
@@ -224,7 +225,7 @@ def test_criterion_07_gradients_every_strategy():
 def test_criterion_08_incremental_decode_equivalence():
     rng = np.random.default_rng(1008)
     worst = 0.0
-    for strategy in STRATEGY_CATALOG:
+    for strategy in STRATEGY_NAMES:
         cfg = ModelConfig(
             n_layers=4,
             d_model=32,
@@ -247,7 +248,7 @@ def test_criterion_08_incremental_decode_equivalence():
 
 def test_criterion_09_memory_accounting():
     counts = []
-    for strategy in STRATEGY_CATALOG:
+    for strategy in STRATEGY_NAMES:
         cfg = ModelConfig(
             n_layers=8,
             d_model=32,

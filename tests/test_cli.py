@@ -96,6 +96,27 @@ class TestConfigFile:
         cfg.write_text("warp-speed = 9\n")
         assert run(["train", "--config", str(cfg), "--seed", "1"]) == EXIT_CONFIG
 
+    def test_middle_from_file_matches_flag(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("strategy = FusedKV\nmiddle = 3\n")
+        four_layers = ["--layers", "4", "--d-model", "16", "--query-heads", "2", "--kv-heads", "2",
+                       "--vocab", "12", "--max-seq", "32"]
+        assert run(["heatmap", "--config", str(cfg), "--seed", "5",
+                    "--output-dir", str(tmp_path / "file")] + four_layers) == EXIT_OK
+        assert run(["heatmap", "--strategy", "FusedKV", "--middle", "3", "--seed", "5",
+                    "--output-dir", str(tmp_path / "flag")] + four_layers) == EXIT_OK
+        from_file = (tmp_path / "file" / "fusion_weights.csv").read_text()
+        assert from_file == (tmp_path / "flag" / "fusion_weights.csv").read_text()
+        middle = json.loads((tmp_path / "file" / "manifest.json").read_text())["config"]["middle"]
+        assert middle == 3 and type(middle) is int
+
+    def test_wrong_value_type_names_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("layers = two\n")
+        assert run(["heatmap", "--config", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--layers" in err
+
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSSKV_OUTPUT_DIR", str(tmp_path / "envdir"))
         assert run(["heatmap", "--strategy", "DenseFusion", "--seed", "1"] + TINY_MODEL) == EXIT_OK
@@ -124,6 +145,13 @@ class TestCostCommand:
                 "--output-dir", str(tmp_path)]
         assert run(args) == EXIT_OK
         assert "mybox" in (tmp_path / "costs.csv").read_text()
+
+    def test_malformed_device_file_names_the_line(self, tmp_path, capsys):
+        dev = tmp_path / "dev.profile"
+        dev.write_text("# box\nlabel = mybox\npeak_flops 1e14\n")
+        args = ["cost", "--device-file", str(dev), "--output-dir", str(tmp_path / "out")]
+        assert run(args) == EXIT_CONFIG
+        assert f"{dev}:3: expected key=value" in capsys.readouterr().err
 
     def test_unknown_device_preset(self, tmp_path):
         assert run(["cost", "--device", "warp-core", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -196,6 +224,12 @@ class TestCompareCommand:
                 "--output-dir", str(tmp_path)] + TINY_MODEL
         assert run(args) == EXIT_CONFIG
 
+    def test_bad_later_strategy_trains_nothing(self, tmp_path):
+        args = ["compare", "--strategies", "Vanilla,bogus", "--seed", "1", "--steps", "2",
+                "--batch-size", "2", "--prompt-len", "4", "--output-dir", str(tmp_path / "out")] + TINY_MODEL
+        assert run(args) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_merged_report_and_cache_column(self, tmp_path):
         args = ["compare", "--strategies", "Vanilla,YOCO,FusedKV,FusedKV-Lite",
                 "--task", "copy", "--steps", "3", "--seed", "4", "--batch-size", "2",
@@ -212,3 +246,59 @@ class TestCompareCommand:
         losses = (tmp_path / "compare_losses.csv").read_text().splitlines()
         assert losses[0] == "step,Vanilla,YOCO,FusedKV,FusedKV-Lite"
         assert len(losses) == 4  # header + 3 steps
+
+
+TINY_CONFIG = {
+    "strategy": "YOCO", "layers": 2, "d_model": 16, "query_heads": 2, "kv_heads": 2, "vocab": 12,
+    "max_seq": 32, "middle": None, "init_scheme": "normal", "init_std": 0.02, "rope_base": 10000.0,
+    "precision": "double",
+}
+TRAIN_CONFIG = {"task": "copy", "steps": 2, "batch_size": 2, "learning_rate": 0.003, "prompt_len": 4}
+
+
+class TestManifestConfig:
+    """The manifest's config block, key for key and type for type."""
+
+    def _config(self, directory):
+        config = json.loads((directory / "manifest.json").read_text())["config"]
+        return json.dumps(config, sort_keys=True)
+
+    def test_train(self, tmp_path):
+        args = ["train", "--strategy", "YOCO", "--seed", "3", "--steps", "2", "--batch-size", "2",
+                "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_OK
+        assert self._config(tmp_path) == json.dumps({**TINY_CONFIG, **TRAIN_CONFIG}, sort_keys=True)
+
+    def test_compare(self, tmp_path):
+        args = ["compare", "--strategies", "Vanilla,YOCO", "--strategy", "YOCO", "--seed", "3",
+                "--steps", "2", "--batch-size", "2", "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_OK
+        expected = {**TINY_CONFIG, "strategies": ["Vanilla", "YOCO"], **TRAIN_CONFIG}
+        assert self._config(tmp_path) == json.dumps(expected, sort_keys=True)
+
+
+class TestNamedErrors:
+    """Bad flag values exit 1 with a configuration error naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cost", "--S", "abc"], "--S"),
+            (["cost", "--S", "1024,0"], "--S"),
+            (["train", "--seed", "1", "--steps", "0"], "--steps"),
+            (["train", "--seed", "1", "--steps", "2", "--eval-interval", "0"], "--eval-interval"),
+            (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--batch-size", "0"], "--batch-size"),
+            (["decode-bench", "--prompt-len", "0"], "--prompt-len"),
+            (["decode-bench", "--strategies", ","], "--strategies"),
+            (["decode-bench", "--new-tokens", "-1"], "--new-tokens"),
+        ],
+        ids=["cost-S-not-int", "cost-S-zero", "train-steps", "train-eval-interval", "compare-batch-size",
+             "decode-prompt-len", "decode-no-strategies", "decode-new-tokens"],
+    )
+    def test_exits_one_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        model = [] if argv[0] == "cost" else TINY_MODEL
+        assert run(argv + model + ["--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and flag in err
+        assert not out.exists()
