@@ -47,7 +47,6 @@ from .tensor import (
     grad_check,
     matmul,
     rmsnorm,
-    softmax_causal,
     swiglu,
 )
 from .training import OptimizerParams, TrainingDivergedError, TrainReport, train

@@ -13,9 +13,13 @@ fold into the small operands through the dot-product identities
 
     (w ⊙ q)·k = q·(w ⊙ k)        and        P·(V ⊙ b) = (P·V) ⊙ b,
 
-so a fused cache is never built. Grouping is a free view of the queries
-as [..., H_kv, g·s_q, D]; no cache is ever repeated per query head. The
-fold must match materialize-then-attend to 1e-12 (tests and `verify`).
+so a one-row query (a decode step) never builds a fused cache. A query of
+several rows (a prefill or a training pass) sums each side's terms once
+instead, with the tape ops of `sharing.reconstruct`: folding would
+multiply its [s_q, s_k] score and value matmuls by the number of terms.
+Grouping is a free view of the queries as [..., H_kv, g·s_q, D]; no cache
+is ever repeated per query head. Both forms must match
+materialize-then-attend to 1e-12 (tests and `verify`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sharing import FoldedCache, LayerCache
+from .sharing import FoldedCache, LayerCache, _sum_terms
 from .tensor import DimensionError, Tensor, _unbroadcast, masked_softmax, record_op
 
 # Not called here any more. The benchmark's tracer (perfbench/hooks.py)
@@ -169,12 +173,16 @@ def attend(
     q: [..., H_q, s_q, D]; every term tensor: [..., H_kv, s_k, D]. Scores
     Σ_j (w_j ⊙ q)·K_jᵀ are scaled by 1/sqrt(D); each query row attends to
     cache rows at positions <= its own; the output is Σ_j (P·V_j) ⊙ b_j.
-    A `LayerCache` is one unweighted term of keys and one of values.
+    A `LayerCache` is one unweighted term of keys and one of values. With
+    more than one query row, each side's terms are summed first.
     Returns [..., H_q, s_q, D].
     """
     shape = _check_terms(cache, cfg)
     q_positions, k_positions = _check_positions(q, shape, cfg, q_positions, k_positions)
-    scores = _folded_scores(q, cache.key_terms, cfg.n_kv_heads)
+    key_terms, value_terms = cache.key_terms, cache.value_terms
+    if q.shape[-2] > 1:
+        key_terms, value_terms = ((_sum_terms(key_terms), None),), ((_sum_terms(value_terms), None),)
+    scores = _folded_scores(q, key_terms, cfg.n_kv_heads)
     mask = np.tile(_causal_mask(q_positions, k_positions), (cfg.group_size, 1))
     probs = masked_softmax(scores, mask, 1.0 / math.sqrt(cfg.head_dim))
-    return _folded_values(probs, cache.value_terms, q.shape)
+    return _folded_values(probs, value_terms, q.shape)

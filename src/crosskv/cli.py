@@ -24,7 +24,6 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costmodel import (
     DEVICE_PRESETS,
-    SWEEP_COLUMNS,
     WorkloadSpec,
     load_device_profile,
     read_key_values,
@@ -106,6 +105,7 @@ _MODEL_FLAGS = {
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key=value file of model flags; flags win")
     defaults = ModelConfig()
     for key, (field, kind) in _MODEL_FLAGS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=getattr(defaults, field))
@@ -142,7 +142,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     --config file's lines as flags placed ahead of the command line's own,
     so the same parser checks them and the command line's flags win."""
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) and all(hasattr(args, key) for key in _MODEL_FLAGS):
+    if getattr(args, "config", None):
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
     return args
@@ -155,7 +155,6 @@ def _output_dir(args) -> Path:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file of model flags; flags win")
     p.add_argument("--output-dir", help=f"artifact directory (default ${OUTPUT_DIR_ENV} or ./runs)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="json adds JSON mirrors of each CSV")
 
@@ -306,7 +305,7 @@ def _cmd_cost(args) -> int:
          "devices": [d.label for d in devices]},
         None,
     )
-    write_rows(outdir, "costs", SWEEP_COLUMNS, rows, mirror_json=args.format == "json")
+    write_rows(outdir, "costs", rows[0], rows, mirror_json=args.format == "json")
     print(f"cost: {len(rows)} rows ({len(methods)} methods x {len(specs)} lengths x {len(devices)} devices) -> {outdir}")
     return EXIT_OK
 

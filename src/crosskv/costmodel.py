@@ -180,28 +180,6 @@ def roofline_latency(costs: CostBreakdown, dev: DeviceProfile, weight_bytes: flo
     )
 
 
-SWEEP_COLUMNS = (
-    "method",
-    "device",
-    "n_layers",
-    "prefill_len",
-    "decode_context",
-    "head_dim",
-    "n_query_heads",
-    "n_kv_heads",
-    "prefill_flops",
-    "decode_flops",
-    "cache_mem_elements",
-    "cache_io_elements",
-    "ttft_s",
-    "tpot_s",
-    "ttft_vs_vanilla",
-    "tpot_vs_vanilla",
-    "cache_mem_vs_vanilla",
-    "cache_io_vs_vanilla",
-)
-
-
 def sweep(
     methods: Sequence[str],
     specs: Iterable[WorkloadSpec],

@@ -11,30 +11,30 @@ and `forward_logits` over the whole sequence into a fresh cache dict,
 `decode` for its prefill and for each step, appending to the caches that
 only storage layers keep. An append writes the step's rows into a buffer
 of `max_seq_len` rows (`LayerCache.append`); only the first step copies
-the prefill's rows in. Training records on the gradient tape; decode
-runs tape-free.
+the prefill's rows in. A reconstruction layer hands the attention kernel
+its sources' stored caches and fusion weights (`folded_cache`); the
+kernel folds them for a one-row step and sums them for a longer pass, so
+`sharing.reconstruct` stays an oracle for the tests. Training records on
+the gradient tape; decode runs tape-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import AttentionConfig, attend
 from .rope import RopeSchedule, apply_rope
 from .sharing import (
-    FoldedCache,
     FusionWeights,
     LayerCache,
     SharingPlan,
-    canonical_strategy,
+    _fusedkv_shape,
     folded_cache,
     init_equivalent,
     init_normal,
     plan_for_strategy,
-    reconstruct,
     sample_iterative_weights,
 )
 from .tensor import (
@@ -47,6 +47,10 @@ from .tensor import (
     rmsnorm,
     swiglu,
 )
+
+# Not called here. The benchmark's tracer (perfbench/hooks.py) wraps this
+# name in this module by attribute, so it stays bound.
+from .sharing import reconstruct  # noqa: F401
 
 __all__ = ["ModelConfig", "DecoderModel", "DecodeResult", "HeatmapResult", "build_model", "fusion_weight_heatmap"]
 
@@ -83,11 +87,13 @@ class ModelConfig:
             raise DimensionError(
                 f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads"
             )
-        canonical_strategy(self.strategy)  # raises on unknown names
         if self.middle is not None and not 1 <= self.middle < self.n_layers:
             raise ValueError(f"middle {self.middle} out of range [1, {self.n_layers - 1}]")
+        plan = plan_for_strategy(self.strategy, self.n_layers, self.middle)  # the plan build_model uses
         if self.init_scheme not in ("normal", "equivalent"):
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
+        if self.init_scheme == "equivalent" and plan.has_fusion_weights:
+            _fusedkv_shape(plan)  # equivalent init needs a two-anchor plan
         if self.precision not in ("double", "single"):
             raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
         if self.vocab_size < 2:
@@ -231,28 +237,18 @@ class DecoderModel:
         v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
         return LayerCache(k, v, i)
 
-    def _reconstructed(self, i: int, caches: dict, rows: int) -> LayerCache | FoldedCache:
-        """Reconstruction layer i's cache for `rows` query rows. A one-row
-        decode step reads the stored caches through folded weights; a
-        multi-row pass materializes the cache once, because folding would
-        multiply its [T, T] score and value matmuls by the number of
-        sources, which makes a long prefill slower."""
-        if rows == 1:
-            return folded_cache(self.plan, self.fusion, caches, i)
-        k, v = reconstruct(self.plan, self.fusion, caches, i)
-        return LayerCache(k, v, i)
-
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage
         layer appends its new keys and values to caches[i] in place (a
         buffer of `max_seq_len` rows), or starts that entry; the append is
         tape-free, so a taped pass starts from an empty dict. A
-        reconstruction layer reads the stored caches."""
+        reconstruction layer hands `attend` the stored caches as weighted
+        terms, which it folds for one row and sums for several."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
-            cache = self._reconstructed(i, caches, positions.size)
+            cache = folded_cache(self.plan, self.fusion, caches, i)
         else:
             new = self._layer_cache(i, xn, positions)
             caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new

@@ -255,12 +255,13 @@ class _CacheBuffer:
 
 @dataclass
 class LayerCache:
-    """Post-rotation keys and values of one layer, shape [..., H_kv, s, D].
+    """Post-rotation keys and values of one storage layer, shape [..., H_kv, s, D].
 
-    Only storage layers ever persist one of these across decode steps,
-    growing by `append`; reconstruction layers see transient instances. A
-    cache that came from `append` holds read-only row-prefix views of a
-    buffer preallocated at the decode capacity; its values never change.
+    A model pass keeps one per storage layer, growing it by `append` across
+    decode steps; a reconstruction layer reads these through a
+    `FoldedCache` and has none of its own. A cache that came from `append`
+    holds read-only row-prefix views of a buffer preallocated at the
+    decode capacity; its values never change.
     """
 
     keys: Tensor
@@ -322,8 +323,9 @@ class FoldedCache:
     """A reconstruction layer's keys and values left unsummed: each is a
     tuple of (stored tensor, weight or None) terms, and the cache they
     stand for is the sum of weight * tensor. `crosskv.attention.attend`
-    folds the weights into queries and outputs, so reading one of these
-    never materializes the reconstructed cache.
+    folds the weights into a one-row query and its output, so a decode step
+    never materializes the reconstructed cache; for several rows it sums
+    the terms once.
     """
 
     key_terms: tuple
@@ -427,7 +429,9 @@ def reconstruct(
     Direct rules return the source tensors themselves (aliasing is fine;
     value equality is the contract). Fusion rules compute the weighted sum
     of the sources and are differentiable with respect to both the weights
-    and the source caches. This is the materialized form of `folded_cache`.
+    and the source caches. This is the materialized form of `folded_cache`,
+    the oracle the kernel's fold is checked against: the model never calls
+    it, and `attend` sums a multi-row query's terms with the same ops.
     """
     folded = folded_cache(plan, weights, stored, i)
     return _sum_terms(folded.key_terms), _sum_terms(folded.value_terms)

@@ -39,7 +39,6 @@ __all__ = [
     "matmul_t",
     "repeat",
     "tsum",
-    "softmax_causal",
     "masked_softmax",
     "rmsnorm",
     "swiglu",
@@ -473,16 +472,6 @@ def masked_softmax(scores, allowed: np.ndarray, scale_factor: float) -> Tensor:
         return (scale_factor * p * (g - inner),)
 
     return record_op("masked_softmax", p, (scores,), backward)
-
-
-def softmax_causal(scores, scale_factor: float) -> Tensor:
-    """Causal attention normalization of a square score matrix: row r is a
-    softmax over columns <= r; columns > r are exactly zero."""
-    scores = _as_tensor(scores)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise DimensionError(f"softmax_causal needs a square matrix, got {scores.shape}")
-    s = scores.shape[0]
-    return masked_softmax(scores, np.tril(np.ones((s, s), dtype=bool)), scale_factor)
 
 
 def rmsnorm(x, gain) -> Tensor:

@@ -8,6 +8,7 @@ gradient clipping; everything is deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass, field
@@ -104,32 +105,26 @@ def _induction_batch(rng, vocab: int, batch: int, n_pairs: int):
     return seqs, mask
 
 
+@functools.cache
 def _load_corpus_ids() -> tuple[np.ndarray, int]:
+    """The bundled corpus as ids into its sorted charset, and the charset size; read once."""
     text = (
         importlib.resources.files("crosskv").joinpath("data/tiny_corpus.txt").read_text()
     )
     charset = sorted(set(text))
     lookup = {c: i for i, c in enumerate(charset)}
     ids = np.array([lookup[c] for c in text], dtype=np.int64)
+    ids.setflags(write=False)  # one array serves every caller
     return ids, len(charset)
-
-
-_CORPUS_CACHE: tuple[np.ndarray, int] | None = None
 
 
 def corpus_vocab_size() -> int:
     """Distinct characters in the bundled corpus (minimum model vocab)."""
-    global _CORPUS_CACHE
-    if _CORPUS_CACHE is None:
-        _CORPUS_CACHE = _load_corpus_ids()
-    return _CORPUS_CACHE[1]
+    return _load_corpus_ids()[1]
 
 
 def _corpus_batch(rng, vocab: int, batch: int, seq_len: int):
-    global _CORPUS_CACHE
-    if _CORPUS_CACHE is None:
-        _CORPUS_CACHE = _load_corpus_ids()
-    ids, charset = _CORPUS_CACHE
+    ids, charset = _load_corpus_ids()
     if vocab < charset:
         raise ValueError(f"char corpus needs vocab >= {charset}")
     if seq_len >= ids.size:

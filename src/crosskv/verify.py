@@ -34,7 +34,7 @@ from .sharing import (
     reconstruct,
     sample_iterative_weights,
 )
-from .tensor import Tape, Tensor, grad_check, matmul, rmsnorm, softmax_causal, swiglu
+from .tensor import Tape, Tensor, grad_check, masked_softmax, matmul, rmsnorm, swiglu
 
 __all__ = [
     "CheckResult",
@@ -102,6 +102,11 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
 # -- numerics ----------------------------------------------------------------
 
 
+def _causal(s: int) -> np.ndarray:
+    """The causal mask of s query rows over s key rows: row r allows columns <= r."""
+    return np.tril(np.ones((s, s), dtype=bool))
+
+
 def _numerics_checks() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(11)
@@ -113,7 +118,7 @@ def _numerics_checks() -> list[CheckResult]:
     cases.append(("matmul", lambda: matmul(a, b).sum(), [a, b]))
     sc = Tensor(rng.standard_normal((6, 6)))
     weight = Tensor(rng.standard_normal((6, 6)))
-    cases.append(("softmax_causal", lambda: (softmax_causal(sc, 0.7) * weight).sum(), [sc]))
+    cases.append(("softmax_causal", lambda: (masked_softmax(sc, _causal(6), 0.7) * weight).sum(), [sc]))
     x = Tensor(rng.standard_normal((3, 8)))
     gain = Tensor(rng.standard_normal(8))
     cases.append(("rmsnorm", lambda: (rmsnorm(x, gain) * rmsnorm(x, gain)).sum(), [x, gain]))
@@ -129,7 +134,7 @@ def _numerics_checks() -> list[CheckResult]:
     out.append(_result("numerics", "op_backward_matches_fd", worst < 1e-4, f"max rel err {worst:.2e}"))
 
     # Causal normalization: exactly lower-triangular, unit row sums.
-    p = softmax_causal(Tensor(rng.standard_normal((9, 9))), 0.5).numpy()
+    p = masked_softmax(Tensor(rng.standard_normal((9, 9))), _causal(9), 0.5).numpy()
     tri_ok = np.all(p[np.triu_indices(9, 1)] == 0.0)
     row_dev = np.abs(p.sum(axis=1) - 1.0).max()
     out.append(
@@ -142,7 +147,7 @@ def _numerics_checks() -> list[CheckResult]:
         w = Tensor(rng0.standard_normal((4, 2)))
         with Tape() as tape:
             tape.watch(t), tape.watch(w)
-            loss = (softmax_causal(matmul(matmul(t, w), matmul(t, w).sum() * Tensor(np.ones((2, 3)))), 1.0)).sum()
+            loss = masked_softmax(matmul(matmul(t, w), matmul(t, w).sum() * Tensor(np.ones((2, 3)))), _causal(3), 1.0).sum()
             tape.backward(loss)
             return tape.grad(t).copy(), tape.grad(w).copy()
 
@@ -379,14 +384,17 @@ def _attention_checks() -> list[CheckResult]:
         ok &= np.array_equal(zeroed[:, : p + 1, :], base[:, : p + 1, :])
     out.append(_result("attention", "future_tokens_cannot_affect_present", ok))
 
-    # Two-path equivalence: weights folded into the kernel vs materialize-then-attend.
+    # Two-path equivalence: the kernel on the weighted terms vs materialize-then-attend.
+    # Six query rows take the kernel's summing path; each row alone takes the fold.
     plan = plan_for_strategy("FusedKV", 4, 2)
     stored = _random_caches(rng, (1, 2), shape=(2, 6, 8))
     weights = init_normal(plan, 8, rng)
     k, v = reconstruct(plan, weights, stored, 3)
+    terms = folded_cache(plan, weights, stored, 3)
     mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(6)).numpy()
-    fused = attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(6)).numpy()
-    dev = np.abs(mat - fused).max()
+    fused = attend(q, terms, cfg, np.arange(6)).numpy()
+    rows = [attend(Tensor(q.numpy()[:, t : t + 1, :]), terms, cfg, [t]).numpy() for t in range(6)]
+    dev = max(np.abs(mat - fused).max(), np.abs(mat - np.concatenate(rows, axis=1)).max())
     out.append(_result("attention", "fused_path_matches_materialized", dev <= 1e-12, f"max dev {dev:.2e}"))
 
     # End-to-end shift invariance: rotate inputs at shifted positions, attend.

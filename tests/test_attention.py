@@ -92,8 +92,18 @@ class TestAttend:
             attend(q, cache, cfg, np.arange(2))
 
 
+def by_row(q, cache, cfg, q_pos, k_pos=None):
+    """`attend` on one query row at a time, the kernel's folding path."""
+    rows = [
+        attend(Tensor(q.numpy()[:, t : t + 1, :]), cache, cfg, q_pos[t : t + 1], k_pos).numpy()
+        for t in range(q.shape[-2])
+    ]
+    return np.concatenate(rows, axis=-2)
+
+
 class TestAttendFused:
-    """Weighted terms folded into the kernel, against the materialized cache."""
+    """Weighted terms in the kernel, against the materialized cache. Several
+    query rows take the summing path; `by_row` takes the folding path."""
 
     def test_single_source_unit_weights_equals_attend(self):
         rng = np.random.default_rng(6)
@@ -106,6 +116,7 @@ class TestAttendFused:
         fused = attend(q, ones, cfg, np.arange(4)).numpy()
         plain = attend(q, cache, cfg, np.arange(4)).numpy()
         np.testing.assert_allclose(fused, plain, atol=1e-14)
+        np.testing.assert_allclose(by_row(q, ones, cfg, np.arange(4)), plain, atol=1e-14)
 
     def test_matches_materialize_then_attend(self):
         rng = np.random.default_rng(7)
@@ -115,9 +126,24 @@ class TestAttendFused:
         stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in (1, 2)}
         q = Tensor(rng.standard_normal((4, 5, 8)))
         k, v = reconstruct(plan, weights, stored, 3)
+        terms = folded_cache(plan, weights, stored, 3)
         mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(5)).numpy()
-        fused = attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(5)).numpy()
-        assert np.abs(mat - fused).max() < 1e-12
+        assert np.abs(mat - attend(q, terms, cfg, np.arange(5)).numpy()).max() < 1e-12
+        assert np.abs(mat - by_row(q, terms, cfg, np.arange(5))).max() < 1e-12
+
+    def test_several_rows_sum_the_terms_as_reconstruct_does(self):
+        # a multi-row query sums each side's terms once, with reconstruct's ops
+        rng = np.random.default_rng(8)
+        cfg = AttentionConfig(4, 2, 8)
+        for strategy in ("FusedKV", "DenseFusion", "FusedKV-Lite"):
+            plan = plan_for_strategy(strategy, 6, 3)
+            weights = init_normal(plan, 8, 8)
+            stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in plan.storage_layers}
+            q = Tensor(rng.standard_normal((4, 3, 8)))
+            k, v = reconstruct(plan, weights, stored, 4)
+            mat = attend(q, LayerCache(k, v, 4), cfg, np.arange(2, 5)).numpy()
+            summed = attend(q, folded_cache(plan, weights, stored, 4), cfg, np.arange(2, 5)).numpy()
+            assert np.array_equal(summed, mat), strategy
 
     def test_shift_invariance_end_to_end(self):
         rng = np.random.default_rng(9)
@@ -128,16 +154,17 @@ class TestAttendFused:
         raw_q = rng.standard_normal((2, 6, 8))
         raw = {j: (rng.standard_normal((2, 6, 8)), rng.standard_normal((2, 6, 8))) for j in (1, 2)}
 
-        def run(shift):
+        def run(shift, attend_rows):
             pos = np.arange(6) + shift
             srcs = {
                 j: LayerCache(apply_rope(Tensor(raw[j][0]), pos, sched), Tensor(raw[j][1]), j)
                 for j in (1, 2)
             }
             q = apply_rope(Tensor(raw_q), pos, sched)
-            return attend(q, folded_cache(plan, weights, srcs, 3), cfg, pos, pos).numpy()
+            return attend_rows(q, folded_cache(plan, weights, srcs, 3), cfg, pos, pos)
 
-        assert np.abs(run(0) - run(7)).max() < 1e-10
+        for attend_rows in (lambda *a: attend(*a).numpy(), by_row):
+            assert np.abs(run(0, attend_rows) - run(7, attend_rows)).max() < 1e-10
 
     def test_mismatched_weight_lists_rejected(self):
         rng = np.random.default_rng(11)
@@ -185,23 +212,35 @@ class TestFoldedKernel:
             assert np.abs(folded - materialized).max() < 1e-12
             assert np.abs(folded - oracle).max() < 1e-12
 
-    def test_two_source_weighted_gradients_match_fd(self):
-        rng = np.random.default_rng(15)
+    @staticmethod
+    def weighted_fd_error(s_q, seed):
+        """FD error of a FusedKV layer's gradients for an s_q-row query, with
+        respect to the query, both source caches and all fusion weights."""
+        rng = np.random.default_rng(seed)
         plan = plan_for_strategy("FusedKV", 4, 2)
-        weights = init_normal(plan, 4, 16)
+        weights = init_normal(plan, 4, seed + 1)
         cfg = AttentionConfig(4, 2, 4)
         stored = {j: cache_of(rng, 2, 3, 4, layer=j) for j in (1, 2)}
-        q = Tensor(rng.standard_normal((4, 2, 4)))
-        probe = rng.standard_normal((4, 2, 4))
+        q = Tensor(rng.standard_normal((4, s_q, 4)))
+        probe = rng.standard_normal((4, s_q, 4))
         params = [q]
         for c in stored.values():
             params += [c.keys, c.values]
         params += [weights.key[(3, j)].free for j in (1, 2)] + [weights.value[(3, j)] for j in (1, 2)]
 
         def loss():
-            return (attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(1, 3)) * probe).sum()
+            return (attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(3 - s_q, 3)) * probe).sum()
 
-        assert grad_check(loss, params) < 1e-6
+        return grad_check(loss, params)
+
+    def test_two_source_weighted_gradients_match_fd(self):
+        # two query rows: the terms are summed on the tape, then attended
+        assert self.weighted_fd_error(2, 15) < 1e-6
+
+    def test_one_row_folded_gradients_match_fd(self):
+        # one query row folds the weights: the hand-written backward of
+        # folded_scores / folded_values
+        assert self.weighted_fd_error(1, 17) < 1e-6
 
 
 class TestGqaDegeneracy:

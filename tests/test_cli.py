@@ -117,6 +117,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "configuration error" in err and "--layers" in err
 
+    @pytest.mark.parametrize("command", ["cost", "verify"])
+    def test_commands_without_model_flags_reject_config(self, command, tmp_path, capsys):
+        # only the commands with model flags read a config file
+        argv = [command, "--config", str(tmp_path / "missing.cfg"), "--output-dir", str(tmp_path)]
+        assert run(argv + (["--seed", "1"] if command == "verify" else [])) == EXIT_CONFIG
+        assert "--config" in capsys.readouterr().err
+
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSSKV_OUTPUT_DIR", str(tmp_path / "envdir"))
         assert run(["heatmap", "--strategy", "DenseFusion", "--seed", "1"] + TINY_MODEL) == EXIT_OK
@@ -301,4 +308,19 @@ class TestNamedErrors:
         assert run(argv + model + ["--output-dir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("crosskv: configuration error: ") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--strategy", "YOCO", "--layers", "3", "--seed", "1"],
+            ["heatmap", "--strategy", "value9key1"],
+            ["heatmap", "--strategy", "DenseFusion", "--init-scheme", "equivalent"],
+        ],
+        ids=["train-odd-layers", "heatmap-ablation-source", "heatmap-equivalent-dense"],
+    )
+    def test_plan_the_model_cannot_build_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("crosskv: configuration error: ")
         assert not out.exists()

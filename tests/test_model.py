@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crosskv.model
+import crosskv.sharing
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_heatmap
 from crosskv.sharing import STRATEGY_NAMES
@@ -44,6 +46,19 @@ class TestConfig:
     def test_middle_range_checked(self):
         with pytest.raises(ValueError):
             ModelConfig(middle=8)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"strategy": "YOCO", "n_layers": 3}, "even layer count"),
+            ({"strategy": "value9key1"}, "value source 9"),
+            ({"strategy": "DenseFusion", "init_scheme": "equivalent"}, "does not fuse sources"),
+        ],
+        ids=["odd-layers-default-middle", "ablation-source-out-of-range", "equivalent-init-not-two-anchor"],
+    )
+    def test_plan_that_build_model_rejects_is_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**fields)
 
 
 class TestBuildModel:
@@ -220,6 +235,23 @@ class TestDecode:
         m = build_model(small_cfg(), seed=0)
         with pytest.raises(ValueError, match="exceeds max"):
             m.decode(np.arange(40) % 16, 10)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_passes_never_call_reconstruct(self, strategy, monkeypatch):
+        # reconstruct is the oracle: the kernel sums or folds the terms itself
+        def oracle_called(*args):
+            raise AssertionError("sharing.reconstruct called on a model pass")
+
+        for module in (crosskv.sharing, crosskv.model):
+            monkeypatch.setattr(module, "reconstruct", oracle_called)
+        m = build_model(small_cfg(strategy), seed=19)
+        tokens = np.random.default_rng(20).integers(0, 16, size=(2, 7))
+        m.forward_logits(tokens)
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            tape.backward(m.forward_loss(tokens))
+        m.decode(tokens[0], 4)
 
 
 class TestHeatmap:

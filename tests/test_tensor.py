@@ -17,13 +17,17 @@ from crosskv.tensor import (
     matmul_t,
     repeat,
     rmsnorm,
-    softmax_causal,
     swiglu,
 )
 
 
 def rand(*shape, seed=0):
     return Tensor(np.random.default_rng(seed).standard_normal(shape))
+
+
+def causal(s):
+    """The causal mask of s rows over s columns: row r allows columns <= r."""
+    return np.tril(np.ones((s, s), dtype=bool))
 
 
 class TestTensorBasics:
@@ -102,37 +106,35 @@ class TestMatmul:
 
 
 class TestSoftmaxCausal:
+    """`masked_softmax` under the causal mask: row r normalizes columns <= r."""
+
     def test_single_token(self):
-        out = softmax_causal(Tensor([[3.7]]), 1.0)
+        out = masked_softmax(Tensor([[3.7]]), causal(1), 1.0)
         assert out.numpy().tolist() == [[1.0]]
 
     def test_equal_scores_row(self):
         # row r=3 over equal scores: first four entries all 1/4
         scores = Tensor(np.full((5, 5), 2.0))
-        out = softmax_causal(scores, 1.0).numpy()
+        out = masked_softmax(scores, causal(5), 1.0).numpy()
         np.testing.assert_allclose(out[3, :4], 0.25, rtol=0, atol=1e-15)
         assert out[3, 4] == 0.0
 
     def test_rows_sum_to_one(self):
-        out = softmax_causal(rand(6, 6, seed=10), 0.41).numpy()
+        out = masked_softmax(rand(6, 6, seed=10), causal(6), 0.41).numpy()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_strictly_lower_triangular(self):
-        out = softmax_causal(rand(7, 7, seed=11), 1.3).numpy()
+        out = masked_softmax(rand(7, 7, seed=11), causal(7), 1.3).numpy()
         assert np.all(out[np.triu_indices(7, 1)] == 0.0)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            softmax_causal(rand(3, 4), 1.0)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            softmax_causal(rand(3, 3), 0.0)
+            masked_softmax(rand(3, 3), causal(3), 0.0)
 
     def test_backward_matches_finite_differences(self):
         s = rand(5, 5, seed=12)
         w = rand(5, 5, seed=13)
-        err = grad_check(lambda: (softmax_causal(s, 0.8) * w).sum(), [s])
+        err = grad_check(lambda: (masked_softmax(s, causal(5), 0.8) * w).sum(), [s])
         assert err < 1e-6
 
 
@@ -263,7 +265,7 @@ class TestTapeMechanics:
         def run():
             with Tape() as tape:
                 tape.watch(x)
-                loss = (softmax_causal(matmul(x, x), 0.7) * x).sum()
+                loss = (masked_softmax(matmul(x, x), causal(4), 0.7) * x).sum()
                 tape.backward(loss)
                 return tape.grad(x).copy()
 
