@@ -19,7 +19,6 @@ from .costmodel import (
 )
 from .model import DecoderModel, DecodeResult, ModelConfig, build_model, fusion_weight_heatmap
 from .rope import (
-    PairSymmetricWeight,
     RopeSchedule,
     apply_rope,
     fused_key_score,
@@ -28,7 +27,6 @@ from .rope import (
 )
 from .sharing import (
     FoldedCache,
-    FusionWeights,
     LayerCache,
     SharingPlan,
     folded_cache,

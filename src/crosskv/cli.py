@@ -31,7 +31,7 @@ from .costmodel import (
 )
 from .model import ModelConfig, build_model, fusion_weight_heatmap
 from .report import write_heatmap, write_manifest, write_rows, write_train_report
-from .training import TASK_NAMES, OptimizerParams, TrainingDivergedError, train
+from .training import TASK_NAMES, OptimizerParams, TrainingDivergedError, check_task, train
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -220,14 +220,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _train_model(args, cfg: ModelConfig, **options):
+def _optimizer(args) -> OptimizerParams:
+    """The training flags' optimizer, checked with the task's vocab need before any artifact."""
+    try:
+        check_task(args.task, args.vocab, {"prompt_len": args.prompt_len})
+        return OptimizerParams(learning_rate=args.learning_rate)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
+def _train_model(args, cfg: ModelConfig, opt: OptimizerParams, **options):
     """Build `cfg`'s model and train it with the shared training flags."""
     model = build_model(cfg, seed=args.seed)
     report = train(
         model,
         args.task,
         args.steps,
-        opt=OptimizerParams(learning_rate=args.learning_rate),
+        opt=opt,
         seed=args.seed,
         batch_size=args.batch_size,
         task_options={"prompt_len": args.prompt_len},
@@ -242,8 +251,9 @@ def _train_settings(args) -> dict:
 
 def _cmd_train(args) -> int:
     cfg = _model_config(args)
+    opt = _optimizer(args)
     outdir = _output_dir(args)
-    model, report = _train_model(args, cfg, eval_interval=args.eval_interval)
+    model, report = _train_model(args, cfg, opt, eval_interval=args.eval_interval)
     write_manifest(outdir, "train", {**_model_settings(args), **_train_settings(args)}, args.seed)
     write_train_report(outdir, report, mirror_json=args.format == "json")
     if args.save_checkpoint:
@@ -373,6 +383,7 @@ def _cmd_compare(args) -> int:
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
     configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
+    opt = _optimizer(args)
     outdir = _output_dir(args)
     mirror = args.format == "json"
     write_manifest(outdir, "compare", {**_model_settings(args), "strategies": strategies, **_train_settings(args)},
@@ -381,7 +392,7 @@ def _cmd_compare(args) -> int:
     losses: dict[str, list[float]] = {}
     for strategy, cfg in zip(strategies, configs):
         try:
-            model, report = _train_model(args, cfg)
+            model, report = _train_model(args, cfg, opt)
         except TrainingDivergedError as e:
             # keep the artifacts of the finished members
             print(f"compare: {strategy} diverged at step {e.step}; partial artifacts kept", file=sys.stderr)

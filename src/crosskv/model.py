@@ -27,11 +27,12 @@ import numpy as np
 from .attention import AttentionConfig, attend
 from .rope import RopeSchedule, apply_rope
 from .sharing import (
-    FusionWeights,
+    DIRECT,
     LayerCache,
     SharingPlan,
     _fusedkv_shape,
     folded_cache,
+    fusion_weight,
     init_equivalent,
     init_normal,
     plan_for_strategy,
@@ -81,8 +82,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_query_heads != 0:
             raise DimensionError(f"d_model {self.d_model} not divisible by {self.n_query_heads} heads")
-        if self.head_dim % 2 != 0:
-            raise DimensionError(f"head_dim {self.head_dim} must be even for rotation")
+        RopeSchedule(self.head_dim, self.rope_base)  # the schedule DecoderModel builds; needs even head_dim
+        if not np.isfinite(self.init_std):
+            raise ValueError(f"init_std must be finite, got {self.init_std!r}")
         if self.n_query_heads % self.n_kv_heads != 0:
             raise DimensionError(
                 f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads"
@@ -153,28 +155,17 @@ def _swap_head_axes(t: Tensor, grouped: tuple, out_shape: tuple, op: str) -> Ten
 class DecoderModel:
     """Parameter container plus forward/decode paths for one sharing plan."""
 
-    def __init__(self, cfg: ModelConfig, plan: SharingPlan, params: dict, fusion: FusionWeights):
+    def __init__(self, cfg: ModelConfig, plan: SharingPlan, params: dict):
         self.cfg = cfg
         self.plan = plan
-        self.params = params
-        self.fusion = fusion
+        self.params = params  # every parameter, fusion weights (`sharing.init_normal`) included
         self.sched = RopeSchedule(cfg.head_dim, cfg.rope_base)
         self.attn_cfg = AttentionConfig(cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim)
 
     # -- parameter plumbing ------------------------------------------------
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self.params.items())
-        out.extend(self.fusion.named_parameters())
-        return out
-
-    def set_parameter(self, name: str, tensor: Tensor) -> None:
-        if name.startswith("fusion."):
-            self.fusion.set_parameter(name, tensor)
-        elif name in self.params:
-            self.params[name] = tensor
-        else:
-            raise KeyError(f"unknown parameter {name!r}")
+        return list(self.params.items())
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.parameters())
@@ -185,22 +176,20 @@ class DecoderModel:
     def load_state_dict(self, arrays: dict) -> None:
         """Replace every parameter. The arrays must name exactly this model's
         parameters, each in its shape; nothing is replaced otherwise."""
-        params = dict(self.parameters())
-        missing = [name for name in params if name not in arrays]
-        extra = [name for name in arrays if name not in params]
+        missing = [name for name in self.params if name not in arrays]
+        extra = [name for name in arrays if name not in self.params]
         if missing or extra:
             raise KeyError(
                 f"checkpoint does not match the {self.cfg.strategy} model: missing {missing}, extra {extra}"
             )
-        loaded = {name: np.asarray(arrays[name], dtype=self.cfg.dtype) for name in params}
+        loaded = {name: np.asarray(arrays[name], dtype=self.cfg.dtype) for name in self.params}
         for name, arr in loaded.items():
-            if arr.shape == (1,) and params[name].ndim == 0:
+            if arr.shape == (1,) and self.params[name].ndim == 0:
                 # older v1 writers stored 0-d arrays, such as scalar weights, as shape (1,)
                 loaded[name] = arr = arr.reshape(())
-            if arr.shape != params[name].shape:
-                raise ValueError(f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {params[name].shape}")
-        for name, arr in loaded.items():
-            self.set_parameter(name, Tensor(arr))
+            if arr.shape != self.params[name].shape:
+                raise ValueError(f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {self.params[name].shape}")
+        self.params.update((name, Tensor(arr)) for name, arr in loaded.items())
 
     # -- forward -----------------------------------------------------------
 
@@ -248,7 +237,7 @@ class DecoderModel:
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
-            cache = folded_cache(self.plan, self.fusion, caches, i)
+            cache = folded_cache(self.plan, self.params, caches, i)
         else:
             new = self._layer_cache(i, xn, positions)
             caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new
@@ -382,18 +371,12 @@ def build_model(cfg: ModelConfig, seed) -> DecoderModel:
     params["final_norm"] = Tensor(np.ones(d, dtype=dt))
     params["unembed"] = linear(d, cfg.vocab_size)
 
-    if plan.has_fusion_weights:
-        if cfg.init_scheme == "equivalent":
-            aux = sample_iterative_weights(plan, cfg.head_dim, rng)
-            fusion = init_equivalent(plan, aux)
-        else:
-            fusion = init_normal(plan, cfg.head_dim, rng)
-        if dt is not np.float64:
-            for name, t in list(fusion.named_parameters()):
-                fusion.set_parameter(name, Tensor(t.numpy().astype(dt)))
+    if cfg.init_scheme == "equivalent" and plan.has_fusion_weights:
+        fusion = init_equivalent(plan, sample_iterative_weights(plan, cfg.head_dim, rng))
     else:
-        fusion = FusionWeights({}, {})
-    return DecoderModel(cfg, plan, params, fusion)
+        fusion = init_normal(plan, cfg.head_dim, rng)  # empty for a plan without fusion weights
+    params.update((name, Tensor(w.numpy(), dtype=dt)) for name, w in fusion.items())
+    return DecoderModel(cfg, plan, params)
 
 
 def fusion_weight_heatmap(model: DecoderModel) -> HeatmapResult:
@@ -404,21 +387,18 @@ def fusion_weight_heatmap(model: DecoderModel) -> HeatmapResult:
         raise ValueError(f"strategy {model.cfg.strategy!r} has no fusion weights")
     targets = plan.reconstruction_layers
 
-    def summarize(slot_map, i, j):
-        if (i, j) not in slot_map:
-            return 0.0
-        w = slot_map[(i, j)]
-        arr = w.expanded().numpy() if hasattr(w, "expanded") else w.numpy()
-        if arr.ndim == 0:
-            return float(arr)
-        return float(np.abs(arr).mean())
+    def summary(cache: str):
+        rules = {i: getattr(plan.rules[i], cache) for i in targets}
+        sources = tuple(sorted({j for rule in rules.values() if rule.kind != DIRECT for j in rule.sources}))
 
-    key_sources = tuple(sorted({j for (_, j) in model.fusion.key}))
-    value_sources = tuple(sorted({j for (_, j) in model.fusion.value}))
-    key_matrix = np.array(
-        [[summarize(model.fusion.key, i, j) for j in key_sources] for i in targets]
-    )
-    value_matrix = np.array(
-        [[summarize(model.fusion.value, i, j) for j in value_sources] for i in targets]
-    )
+        def summarize(i, j):
+            if rules[i].kind == DIRECT or j not in rules[i].sources:
+                return 0.0
+            arr = fusion_weight(model.params, rules[i], cache, i, j).numpy()
+            return float(arr) if arr.ndim == 0 else float(np.abs(arr).mean())
+
+        return sources, np.array([[summarize(i, j) for j in sources] for i in targets])
+
+    key_sources, key_matrix = summary("key")
+    value_sources, value_matrix = summary("value")
     return HeatmapResult(targets, key_sources, value_sources, key_matrix, value_matrix)

@@ -14,9 +14,9 @@ weighted score by actually rotating; `score_decomposed` evaluates the
 split form; the two must agree for arbitrary weights, which is the core
 identity this module exists to verify.
 
-`PairSymmetricWeight` stores only the D/2 free values and expands them on
-demand, so pair symmetry holds by construction and gradients accumulate
-into the free vector.
+A key fusion weight is stored as its D/2 free values and `expand_pairs`
+duplicates them where the weight is applied, so pair symmetry holds by
+construction and gradients accumulate into the free vector.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .tensor import DimensionError, Tensor, record_op
 
 __all__ = [
     "RopeSchedule",
-    "PairSymmetricWeight",
     "expand_pairs",
     "apply_rope",
     "score_direct",
@@ -51,7 +50,7 @@ class RopeSchedule:
     def __post_init__(self):
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise DimensionError(f"head_dim must be positive and even, got {self.head_dim}")
-        if self.base <= 1.0:
+        if not self.base > 1.0:  # also rejects NaN
             raise ValueError(f"rope base must exceed 1, got {self.base}")
 
     @property
@@ -138,34 +137,6 @@ def expand_pairs(free) -> Tensor:
     return record_op("expand_pairs", out, (free,), backward)
 
 
-@dataclass
-class PairSymmetricWeight:
-    """Learnable length-D weight constrained to w[2j] == w[2j+1].
-
-    Only the D/2 free values are stored; the constraint cannot drift
-    because the expanded view is recomputed from them.
-    """
-
-    free: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.free, Tensor):
-            self.free = Tensor(np.asarray(self.free, dtype=np.float64))
-        if self.free.ndim != 1:
-            raise DimensionError(f"free weights must be a vector, got {self.free.shape}")
-
-    @property
-    def head_dim(self) -> int:
-        return 2 * self.free.shape[0]
-
-    def expanded(self) -> Tensor:
-        return expand_pairs(self.free)
-
-    @classmethod
-    def ones(cls, head_dim: int, dtype=np.float64) -> "PairSymmetricWeight":
-        return cls(Tensor(np.ones(head_dim // 2, dtype=dtype)))
-
-
 def _as_vector(x, d: int, name: str) -> np.ndarray:
     arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if arr.shape != (d,):
@@ -217,14 +188,15 @@ def fused_key_score(
     q,
     keys: list,
     positions: tuple[int, int],
-    weights: list[PairSymmetricWeight],
+    weights: list,
     sched: RopeSchedule,
 ) -> float:
     """Score of a rotated query against a weighted sum of rotated keys.
 
-    All source keys share the key position n; because the score is linear
-    in the key, this equals the sum of the per-source weighted scores, and
-    with pair-symmetric weights each term depends only on m - n.
+    Each weight is a free vector of D/2 values, applied pair-symmetrically
+    (`expand_pairs`). All source keys share the key position n; because
+    the score is linear in the key, this equals the sum of the per-source
+    weighted scores, and each term depends only on m - n.
     """
     if len(keys) != len(weights):
         raise DimensionError(f"{len(keys)} keys but {len(weights)} weights")
@@ -237,8 +209,7 @@ def fused_key_score(
     fused = np.zeros(d, dtype=np.float64)
     for key, weight in zip(keys, weights):
         kv = _as_vector(key, d, "key")
-        if weight.head_dim != d:
-            raise DimensionError(f"weight head_dim {weight.head_dim} != {d}")
+        wv = _as_vector(weight, d // 2, "free weight")
         k_rot = apply_rope(Tensor(kv[None, :]), np.array([n]), sched).data[0]
-        fused += weight.expanded().data * k_rot
+        fused += np.repeat(wv, 2) * k_rot
     return float(q_rot @ fused)

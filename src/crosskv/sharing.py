@@ -23,6 +23,11 @@ Strategy catalog (middle defaults to L/2):
 
 Reconstruction runs on post-rotation keys; pair symmetry of the key
 weights is what keeps that legal (see `crosskv.rope`).
+
+Fusion weights are named as the model's parameters: `fusion.key.<i>.<j>`
+weighs source j's keys in layer i (a vector key weight stores only its D/2
+free entries, so it is pair-symmetric by construction), and likewise
+`fusion.value.<i>.<j>`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rope import PairSymmetricWeight, expand_pairs
+from .rope import expand_pairs
 from .tensor import DimensionError, Tensor, _check_finite
 
 __all__ = [
@@ -45,7 +50,7 @@ __all__ = [
     "SharingPlan",
     "LayerCache",
     "FoldedCache",
-    "FusionWeights",
+    "fusion_weight",
     "IterativeWeights",
     "plan_for_strategy",
     "canonical_strategy",
@@ -337,44 +342,16 @@ class FoldedCache:
         return self.key_terms[0][0].shape[-2]
 
 
-@dataclass
-class FusionWeights:
-    """Learnable reconstruction weights keyed by (target layer, source layer).
-
-    Key weights are pair-symmetric vectors (or scalars); value weights are
-    unconstrained vectors (or scalars). Values are never rotated, so they
-    carry no symmetry constraint.
-    """
-
-    key: dict
-    value: dict
-
-    def named_parameters(self):
-        for (i, j), w in sorted(self.key.items()):
-            yield f"fusion.key.{i}.{j}", w.free if isinstance(w, PairSymmetricWeight) else w
-        for (i, j), w in sorted(self.value.items()):
-            yield f"fusion.value.{i}.{j}", w
-
-    def set_parameter(self, name: str, tensor: Tensor) -> None:
-        _, kind, i, j = name.split(".")
-        slot = (int(i), int(j))
-        if kind == "key":
-            current = self.key[slot]
-            if isinstance(current, PairSymmetricWeight):
-                current.free = tensor
-            else:
-                self.key[slot] = tensor
-        else:
-            self.value[slot] = tensor
-
-    def key_expanded(self, i: int, j: int) -> Tensor:
-        w = self.key[(i, j)]
-        return w.expanded() if isinstance(w, PairSymmetricWeight) else w
+def fusion_weight(weights: dict, rule: CacheRule, cache: str, i: int, j: int) -> Tensor:
+    """The weight on source j of layer i's `cache` ("key" or "value")
+    fusion rule, as applied: a vector key weight expanded to length D."""
+    w = weights[f"fusion.{cache}.{i}.{j}"]
+    return expand_pairs(w) if cache == "key" and rule.kind == FUSION_VECTOR else w
 
 
 def folded_cache(
     plan: SharingPlan,
-    weights: FusionWeights | None,
+    weights: dict | None,
     stored: dict,
     i: int,
 ) -> FoldedCache:
@@ -398,14 +375,14 @@ def folded_cache(
     if (spec.key.kind != DIRECT or spec.value.kind != DIRECT) and weights is None:
         raise ValueError(f"layer {i} uses weighted fusion but no weights were given")
 
-    def terms(rule: CacheRule, tensor_of, weight_of) -> tuple:
+    def terms(rule: CacheRule, cache: str, tensor_of) -> tuple:
         if rule.kind == DIRECT:
             return ((tensor_of(rule.sources[0]), None),)
-        return tuple((tensor_of(j), weight_of(j)) for j in rule.sources)
+        return tuple((tensor_of(j), fusion_weight(weights, rule, cache, i, j)) for j in rule.sources)
 
     return FoldedCache(
-        terms(spec.key, lambda j: stored[j].keys, lambda j: weights.key_expanded(i, j)),
-        terms(spec.value, lambda j: stored[j].values, lambda j: weights.value[(i, j)]),
+        terms(spec.key, "key", lambda j: stored[j].keys),
+        terms(spec.value, "value", lambda j: stored[j].values),
         i,
     )
 
@@ -420,7 +397,7 @@ def _sum_terms(terms: tuple) -> Tensor:
 
 def reconstruct(
     plan: SharingPlan,
-    weights: FusionWeights | None,
+    weights: dict | None,
     stored: dict,
     i: int,
 ) -> tuple[Tensor, Tensor]:
@@ -437,30 +414,29 @@ def reconstruct(
     return _sum_terms(folded.key_terms), _sum_terms(folded.value_terms)
 
 
-def init_normal(plan: SharingPlan, head_dim: int, seed) -> FusionWeights:
-    """Standard-normal fusion weights.
+def _named(key: dict, value: dict) -> dict:
+    """(i, j)-keyed weights as tensors by parameter name: keys, then values, each in numeric (i, j) order."""
+    named = {f"fusion.key.{i}.{j}": Tensor(w) for (i, j), w in sorted(key.items())}
+    return named | {f"fusion.value.{i}.{j}": Tensor(w) for (i, j), w in sorted(value.items())}
 
-    Vector key weights draw D/2 values per (target, source) pair and are
-    duplicated on expansion; value weights draw D values; scalar rules draw
-    one value each. Deterministic for a fixed seed.
+
+def init_normal(plan: SharingPlan, head_dim: int, seed) -> dict:
+    """Standard-normal fusion weights, by parameter name.
+
+    Vector key weights draw their D/2 free values per (target, source)
+    pair, value weights D values, scalar rules one value; each layer draws
+    its key rule's then its value rule's. Deterministic for a fixed seed.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     key, value = {}, {}
     for i in sorted(plan.rules):
         spec = plan.rules[i]
-        if spec.key.kind == FUSION_VECTOR:
-            for j in spec.key.sources:
-                key[(i, j)] = PairSymmetricWeight(Tensor(rng.standard_normal(head_dim // 2)))
-        elif spec.key.kind == FUSION_SCALAR:
-            for j in spec.key.sources:
-                key[(i, j)] = Tensor(np.asarray(rng.standard_normal()))
-        if spec.value.kind == FUSION_VECTOR:
-            for j in spec.value.sources:
-                value[(i, j)] = Tensor(rng.standard_normal(head_dim))
-        elif spec.value.kind == FUSION_SCALAR:
-            for j in spec.value.sources:
-                value[(i, j)] = Tensor(np.asarray(rng.standard_normal()))
-    return FusionWeights(key, value)
+        for out, rule, width in ((key, spec.key, head_dim // 2), (value, spec.value, head_dim)):
+            if rule.kind == DIRECT:
+                continue
+            for j in rule.sources:
+                out[(i, j)] = rng.standard_normal(width) if rule.kind == FUSION_VECTOR else rng.standard_normal()
+    return _named(key, value)
 
 
 @dataclass(frozen=True)
@@ -511,8 +487,9 @@ def sample_iterative_weights(plan: SharingPlan, head_dim: int, seed) -> Iterativ
     return IterativeWeights(key, value)
 
 
-def init_equivalent(plan: SharingPlan, auxiliary: IterativeWeights) -> FusionWeights:
-    """Collapse chain-form auxiliary weights into standard two-anchor weights.
+def init_equivalent(plan: SharingPlan, auxiliary: IterativeWeights) -> dict:
+    """Collapse chain-form auxiliary weights into standard two-anchor
+    weights, by parameter name.
 
     The recursion (elementwise products and sums):
 
@@ -543,19 +520,13 @@ def init_equivalent(plan: SharingPlan, auxiliary: IterativeWeights) -> FusionWei
             b[(i, 1)] = bv_prev * b[(i - 1, 1)] + np.asarray(auxiliary.value[(i, 1)], dtype=np.float64)
             b[(i, n)] = bv_prev * b[(i - 1, n)]
 
-    scalar = plan.rules[n + 1].key.kind == FUSION_SCALAR
-    key, value = {}, {}
+    vector = plan.rules[n + 1].key.kind == FUSION_VECTOR
     for slot, arr in a.items():
-        if scalar or arr.ndim == 0:
-            key[slot] = Tensor(arr)
-        else:
-            even, odd = arr[0::2], arr[1::2]
-            if not np.array_equal(even, odd):
+        if vector and arr.ndim != 0:
+            if not np.array_equal(arr[0::2], arr[1::2]):
                 raise ValueError(f"auxiliary key weight for {slot} is not pair-symmetric")
-            key[slot] = PairSymmetricWeight(Tensor(even))
-    for slot, arr in b.items():
-        value[slot] = Tensor(arr)
-    return FusionWeights(key, value)
+            a[slot] = arr[0::2]  # the free entries
+    return _named(a, b)
 
 
 def iterative_reconstruct(

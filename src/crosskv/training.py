@@ -24,8 +24,8 @@ __all__ = [
     "TrainReport",
     "TrainingDivergedError",
     "TASK_NAMES",
+    "check_task",
     "make_batch",
-    "corpus_vocab_size",
     "train",
 ]
 
@@ -48,6 +48,10 @@ class OptimizerParams:
     eps: float = 1e-8
     weight_decay: float = 0.01  # decoupled; applied to matrices only
     grad_clip: float = 1.0  # global norm; <= 0 disables
+
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -74,8 +78,6 @@ class TrainReport:
 
 def _copy_batch(rng, vocab: int, batch: int, prompt_len: int):
     """prompt | separator | prompt; loss on the echoed half only."""
-    if vocab < 3:
-        raise ValueError("copy task needs vocab >= 3")
     sep = vocab - 1
     prompt = rng.integers(0, vocab - 1, size=(batch, prompt_len))
     tokens = np.concatenate(
@@ -89,8 +91,6 @@ def _copy_batch(rng, vocab: int, batch: int, prompt_len: int):
 
 def _induction_batch(rng, vocab: int, batch: int, n_pairs: int):
     """[a1 b1 ... ak bk aq] -> bq; loss on the final prediction only."""
-    if vocab < n_pairs + 1:
-        raise ValueError(f"induction task needs vocab >= {n_pairs + 1}")
     seqs = np.empty((batch, 2 * n_pairs + 2), dtype=np.int64)
     for row in range(batch):
         heads = rng.permutation(vocab)[:n_pairs]  # distinct triggers
@@ -118,33 +118,38 @@ def _load_corpus_ids() -> tuple[np.ndarray, int]:
     return ids, len(charset)
 
 
-def corpus_vocab_size() -> int:
-    """Distinct characters in the bundled corpus (minimum model vocab)."""
-    return _load_corpus_ids()[1]
-
-
-def _corpus_batch(rng, vocab: int, batch: int, seq_len: int):
-    ids, charset = _load_corpus_ids()
-    if vocab < charset:
-        raise ValueError(f"char corpus needs vocab >= {charset}")
-    if seq_len >= ids.size:
-        raise ValueError(f"corpus has only {ids.size} characters")
+def _corpus_batch(rng, batch: int, seq_len: int):
+    ids, _ = _load_corpus_ids()
     starts = rng.integers(0, ids.size - seq_len, size=batch)
     tokens = np.stack([ids[s : s + seq_len] for s in starts])
     mask = np.ones((batch, seq_len - 1), dtype=bool)
     return tokens, mask
 
 
+def check_task(task: str, vocab: int, options: dict | None = None) -> None:
+    """Raise ValueError unless `task` can draw batches for a `vocab`-token model with these options. Draws nothing."""
+    opts = options or {}
+    if task == "char-corpus":
+        ids, need = _load_corpus_ids()
+        if opts.get("seq_len", 48) >= ids.size:
+            raise ValueError(f"corpus has only {ids.size} characters")
+    elif task in TASK_NAMES:
+        need = 3 if task == "copy" else opts.get("n_pairs", 8) + 1
+    else:
+        raise ValueError(f"unknown task {task!r}; known: {', '.join(TASK_NAMES)}")
+    if vocab < need:
+        raise ValueError(f"{task} task needs vocab >= {need}, got {vocab}")
+
+
 def make_batch(task: str, rng, vocab: int, batch_size: int, options: dict | None = None):
     """One (tokens, transition-mask) batch for a named task."""
+    check_task(task, vocab, options)
     opts = options or {}
     if task == "copy":
         return _copy_batch(rng, vocab, batch_size, opts.get("prompt_len", 8))
     if task == "induction-heads":
         return _induction_batch(rng, vocab, batch_size, opts.get("n_pairs", 8))
-    if task == "char-corpus":
-        return _corpus_batch(rng, vocab, batch_size, opts.get("seq_len", 48))
-    raise ValueError(f"unknown task {task!r}; known: {', '.join(TASK_NAMES)}")
+    return _corpus_batch(rng, batch_size, opts.get("seq_len", 48))
 
 
 # -- optimizer and loop ----------------------------------------------------
@@ -179,12 +184,12 @@ def train(
 
     Records the loss each step and Q/K/V projection gradient norms every
     `eval_interval` steps (and on the last step). A non-finite loss aborts
-    with `TrainingDivergedError` naming the step.
+    with `TrainingDivergedError` naming the step. The task is checked
+    against the model's vocab before step 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if task not in TASK_NAMES:
-        raise ValueError(f"unknown task {task!r}; known: {', '.join(TASK_NAMES)}")
+    check_task(task, model.cfg.vocab_size, task_options)
     opt = opt or OptimizerParams()
     rng = np.random.default_rng(seed)
 
@@ -210,10 +215,9 @@ def _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, 
     (possibly clipped) gradients for instrumentation."""
     tokens, mask = make_batch(task, rng, model.cfg.vocab_size, batch_size, task_options)
     with Tape() as tape:
-        names = []
-        for name, p in model.parameters():
+        names = model.parameters()
+        for _, p in names:
             tape.watch(p)
-            names.append((name, p))
         loss = model.forward_loss(tokens, mask)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -241,5 +245,5 @@ def _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, 
         new = p.numpy().astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + opt.eps)
         if opt.weight_decay > 0 and p.ndim >= 2:
             new -= lr * opt.weight_decay * p.numpy().astype(np.float64)
-        model.set_parameter(name, Tensor(new.astype(dt)))
+        model.params[name] = Tensor(new.astype(dt))
     return grads

@@ -20,11 +20,10 @@ import numpy as np
 from .attention import AttentionConfig, attend
 from .costmodel import DEVICE_PRESETS, DeviceProfile, WorkloadSpec, roofline_latency, table1_costs
 from .model import DecoderModel, ModelConfig, build_model
-from .rope import PairSymmetricWeight, RopeSchedule, apply_rope, fused_key_score, score_decomposed, score_direct
+from .rope import RopeSchedule, apply_rope, expand_pairs, fused_key_score, score_decomposed, score_direct
 from .sharing import (
     DIRECT,
     STRATEGY_NAMES,
-    FusionWeights,
     LayerCache,
     folded_cache,
     init_equivalent,
@@ -214,12 +213,12 @@ def _rope_checks() -> list[CheckResult]:
     for _ in range(200):
         n_src = int(rng.integers(1, 4))
         keys = [rng.standard_normal(8) for _ in range(n_src)]
-        weights = [PairSymmetricWeight(Tensor(rng.standard_normal(4))) for _ in range(n_src)]
+        weights = [rng.standard_normal(4) for _ in range(n_src)]
         q = rng.standard_normal(8)
         m, n = int(rng.integers(0, 50)), int(rng.integers(0, 50))
         fused = fused_key_score(q, keys, (m, n), weights, sched)
         summed = sum(
-            score_direct(q, keys[i], m, n, np.repeat(weights[i].free.numpy(), 2), sched)
+            score_direct(q, keys[i], m, n, np.repeat(weights[i], 2), sched)
             for i in range(n_src)
         )
         worst = max(worst, abs(fused - summed))
@@ -280,10 +279,8 @@ def _sharing_checks() -> list[CheckResult]:
     # One-hot fusion weights reproduce direct reuse exactly.
     plan = plan_for_strategy("FusedKV", 4, 2)
     stored = _random_caches(rng, (1, 2))
-    hot = FusionWeights(
-        key={(i, j): PairSymmetricWeight(Tensor(np.full(4, 1.0 if j == 2 else 0.0))) for i in (3, 4) for j in (1, 2)},
-        value={(i, j): Tensor(np.full(8, 1.0 if j == 1 else 0.0)) for i in (3, 4) for j in (1, 2)},
-    )
+    hot = {f"fusion.key.{i}.{j}": Tensor(np.full(4, 1.0 if j == 2 else 0.0)) for i in (3, 4) for j in (1, 2)}
+    hot.update({f"fusion.value.{i}.{j}": Tensor(np.full(8, 1.0 if j == 1 else 0.0)) for i in (3, 4) for j in (1, 2)})
     k3, v3 = reconstruct(plan, hot, stored, 3)
     selector_ok = np.array_equal(k3.numpy(), stored[2].keys.numpy()) and np.array_equal(
         v3.numpy(), stored[1].values.numpy()
@@ -310,16 +307,13 @@ def _sharing_checks() -> list[CheckResult]:
     # Normal init: determinism, moments, exact pair duplication.
     w1 = init_normal(plan6, 8, 123)
     w2 = init_normal(plan6, 8, 123)
-    same = all(
-        np.array_equal(dict(w1.named_parameters())[name].numpy(), t.numpy())
-        for name, t in w2.named_parameters()
-    )
+    same = list(w1) == list(w2) and all(np.array_equal(w1[name].numpy(), t.numpy()) for name, t in w2.items())
     big_plan = plan_for_strategy("FusedKV", 2084, 1042)
     draws = np.concatenate(
-        [t.numpy().ravel() for _, t in init_normal(big_plan, 32, 7).named_parameters()]
+        [t.numpy().ravel() for t in init_normal(big_plan, 32, 7).values()]
     )
     moments_ok = abs(draws.mean()) < 0.02 and abs(draws.var() - 1.0) < 0.05 and draws.size >= 100_000
-    expanded = w1.key_expanded(4, 1).numpy()
+    expanded = expand_pairs(w1["fusion.key.4.1"]).numpy()
     pairs_ok = np.array_equal(expanded[0::2], expanded[1::2])
     out.append(
         _result(

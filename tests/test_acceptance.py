@@ -19,7 +19,6 @@ from crosskv.costmodel import (
 )
 from crosskv.model import ModelConfig, build_model
 from crosskv.rope import (
-    PairSymmetricWeight,
     RopeSchedule,
     apply_rope,
     fused_key_score,
@@ -87,11 +86,11 @@ def test_criterion_03_fused_key_linearity_and_attention_shift():
         n_src = int(rng.integers(1, 4))
         q = rng.standard_normal(8)
         keys = [rng.standard_normal(8) for _ in range(n_src)]
-        weights = [PairSymmetricWeight(Tensor(rng.standard_normal(4))) for _ in range(n_src)]
+        weights = [rng.standard_normal(4) for _ in range(n_src)]
         m, n = int(rng.integers(0, 60)), int(rng.integers(0, 60))
         fused = fused_key_score(q, keys, (m, n), weights, SCHED)
         summed = sum(
-            score_direct(q, keys[i], m, n, np.repeat(weights[i].free.numpy(), 2), SCHED)
+            score_direct(q, keys[i], m, n, np.repeat(weights[i], 2), SCHED)
             for i in range(n_src)
         )
         worst_lin = max(worst_lin, abs(fused - summed))

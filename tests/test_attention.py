@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crosskv.attention import AttentionConfig, attend
-from crosskv.rope import PairSymmetricWeight, RopeSchedule, apply_rope
+from crosskv.rope import RopeSchedule, apply_rope
 from crosskv.sharing import FoldedCache, LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
 from crosskv.tensor import DimensionError, Tensor, grad_check
 
@@ -111,7 +111,7 @@ class TestAttendFused:
         cache = cache_of(rng, 2, 4, 8)
         q = Tensor(rng.standard_normal((2, 4, 8)))
         ones = FoldedCache(
-            ((cache.keys, PairSymmetricWeight.ones(8).expanded()),), ((cache.values, Tensor(np.ones(8))),), 3
+            ((cache.keys, Tensor(np.ones(8))),), ((cache.values, Tensor(np.ones(8))),), 3
         )
         fused = attend(q, ones, cfg, np.arange(4)).numpy()
         plain = attend(q, cache, cfg, np.arange(4)).numpy()
@@ -226,7 +226,7 @@ class TestFoldedKernel:
         params = [q]
         for c in stored.values():
             params += [c.keys, c.values]
-        params += [weights.key[(3, j)].free for j in (1, 2)] + [weights.value[(3, j)] for j in (1, 2)]
+        params += [weights[f"fusion.{cache}.3.{j}"] for cache in ("key", "value") for j in (1, 2)]
 
         def loss():
             return (attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(3 - s_q, 3)) * probe).sum()

@@ -324,3 +324,28 @@ class TestNamedErrors:
         assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("crosskv: configuration error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--seed", "1", "--rope-base", "0.5"], "rope base"),
+            (["heatmap", "--strategy", "FusedKV", "--rope-base", "1"], "rope base"),
+            (["decode-bench", "--rope-base", "0.9"], "rope base"),
+            (["train", "--seed", "1", "--init-std", "nan"], "init_std"),
+            (["train", "--seed", "1", "--init-std", "inf"], "init_std"),
+            (["train", "--seed", "1", "--task", "char-corpus", "--vocab", "8"], "vocab"),
+            (["compare", "--strategies", "YOCO,FusedKV", "--seed", "1", "--task", "induction-heads",
+              "--vocab", "4"], "vocab"),
+            (["train", "--seed", "1", "--learning-rate", "nan"], "learning rate"),
+            (["train", "--seed", "1", "--learning-rate", "-1"], "learning rate"),
+        ],
+        ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-init-std-nan",
+             "train-init-std-inf", "train-corpus-vocab", "compare-induction-vocab", "train-lr-nan",
+             "train-lr-negative"],
+    )
+    def test_bad_model_or_training_input_exits_one_before_artifacts(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv[:1] + TINY_MODEL + argv[1:] + ["--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and message in err
+        assert not out.exists()

@@ -43,6 +43,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rope_base": 0.5}, "rope base"),
+            ({"rope_base": 1.0}, "rope base"),
+            ({"rope_base": float("nan")}, "rope base"),
+            ({"init_std": float("nan")}, "init_std"),
+            ({"init_std": float("inf")}, "init_std"),
+        ],
+        ids=["rope-base-below-one", "rope-base-one", "rope-base-nan", "init-std-nan", "init-std-inf"],
+    )
+    def test_rope_base_and_init_std_checked(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**fields)
+
     def test_middle_range_checked(self):
         with pytest.raises(ValueError):
             ModelConfig(middle=8)
@@ -79,9 +94,21 @@ class TestBuildModel:
             assert f"layer{i}.w_k" not in m.params
             assert f"layer{i}.w_v" not in m.params
             assert f"layer{i}.w_q" in m.params
-        # 2x2 fusion weight tables per cache kind
-        assert sorted(m.fusion.key) == [(3, 1), (3, 2), (4, 1), (4, 2)]
-        assert sorted(m.fusion.value) == [(3, 1), (3, 2), (4, 1), (4, 2)]
+        # 2x2 fusion weight tables per cache kind, stored last: keys, then values
+        slots = ["3.1", "3.2", "4.1", "4.2"]
+        names = [name for name, _ in m.parameters()]
+        assert names[-8:] == [f"fusion.key.{s}" for s in slots] + [f"fusion.value.{s}" for s in slots]
+        assert m.params["fusion.key.3.1"].shape == (4,)  # D/2 free values
+        assert m.params["fusion.value.3.1"].shape == (8,)
+
+    def test_fusion_names_in_numeric_order(self):
+        # L=20, middle 10: fusion.key.11.2 precedes fusion.key.11.10, as in
+        # checkpoints and in the sum Adam clips by
+        m = build_model(small_cfg("DenseFusion", n_layers=20, middle=10), seed=0)
+        slots = [f"{i}.{j}" for i in range(11, 21) for j in range(1, 11)]
+        want = [f"fusion.key.{s}" for s in slots] + [f"fusion.value.{s}" for s in slots]
+        assert [name for name, _ in m.parameters() if name.startswith("fusion.")] == want
+        assert list(m.state_dict())[-len(want):] == want
 
     def test_same_seed_bit_identical(self):
         a = build_model(small_cfg("FusedKV"), seed=9)
@@ -95,7 +122,7 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             build_model(small_cfg("Lite-Learnable", init_scheme="equivalent"), seed=0)
         m = build_model(small_cfg("FusedKV", init_scheme="equivalent"), seed=0)
-        assert m.fusion.key  # built fine
+        assert "fusion.key.3.1" in m.params  # built fine
         # weightless plans ignore the scheme entirely
         build_model(small_cfg("FusedKV-Lite", init_scheme="equivalent"), seed=0)
 
@@ -132,14 +159,6 @@ class TestForwardLoss:
         m = build_model(small_cfg(), seed=0)
         with pytest.raises(ValueError, match="exceeds max"):
             m.forward_loss(np.zeros((1, 49), dtype=int))
-
-    def test_loss_gradient_matches_oracle_small(self):
-        from crosskv.tensor import grad_check
-
-        m = build_model(toy_config("YOCO"), seed=1)
-        tokens = np.random.default_rng(1).integers(0, 7, size=(1, 5))
-        err = grad_check(lambda: m.forward_loss(tokens), [p for _, p in m.parameters()])
-        assert err < 1e-4
 
 
 class TestDecode:
@@ -261,13 +280,13 @@ class TestHeatmap:
         assert hm.key_matrix.shape == (2, 2)  # two targets, sources {1, 2}
         for ti, i in enumerate(hm.targets):
             for si, j in enumerate(hm.key_sources):
-                assert hm.key_matrix[ti, si] == m.fusion.key[(i, j)].item()
-                assert hm.value_matrix[ti, si] == m.fusion.value[(i, j)].item()
+                assert hm.key_matrix[ti, si] == m.params[f"fusion.key.{i}.{j}"].item()
+                assert hm.value_matrix[ti, si] == m.params[f"fusion.value.{i}.{j}"].item()
 
     def test_vector_strategy_reports_mean_abs(self):
         m = build_model(small_cfg("FusedKV"), seed=9)
         hm = fusion_weight_heatmap(m)
-        want = np.abs(m.fusion.key_expanded(3, 1).numpy()).mean()
+        want = np.abs(np.repeat(m.params["fusion.key.3.1"].numpy(), 2)).mean()
         assert hm.key_matrix[0, 0] == pytest.approx(want, abs=1e-15)
         assert hm.key_matrix.shape == (len(m.plan.reconstruction_layers), 2)
 
@@ -351,7 +370,7 @@ class TestCheckpoint:
         # files written while 0-d arrays were saved as shape (1,) still load
         loaded = {name: arr.reshape(1) if arr.ndim == 0 else arr for name, arr in loaded.items()}
         m.load_state_dict(loaded)
-        assert m.fusion.key[(3, 1)].shape == ()
+        assert m.params["fusion.key.3.1"].shape == ()
 
     def test_float32_tensors_round_trip(self, tmp_path):
         arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}

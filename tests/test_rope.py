@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from crosskv.rope import (
-    PairSymmetricWeight,
     RopeSchedule,
     apply_rope,
     expand_pairs,
@@ -113,11 +112,12 @@ class TestScoreIdentity:
 
 
 class TestPairSymmetricWeight:
+    """A key fusion weight is its D/2 free values, expanded by `expand_pairs`."""
+
     def test_expansion_is_exactly_pairwise_equal(self):
-        w = PairSymmetricWeight(Tensor([0.3, -1.7, 2.2, 0.0001]))
-        e = w.expanded().numpy()
+        e = expand_pairs(Tensor([0.3, -1.7, 2.2, 0.0001])).numpy()
         assert np.array_equal(e[0::2], e[1::2])
-        assert w.head_dim == 8
+        assert e.shape == (8,)
 
     def test_gradients_accumulate_into_free_vector(self):
         free = Tensor([1.0, 2.0])
@@ -133,17 +133,17 @@ class TestFusedKeyScore:
     def test_single_source_unit_weights_equals_direct(self):
         rng = np.random.default_rng(8)
         q, k = rng.standard_normal(8), rng.standard_normal(8)
-        fused = fused_key_score(q, [k], (5, 2), [PairSymmetricWeight.ones(8)], SCHED)
+        fused = fused_key_score(q, [k], (5, 2), [np.ones(4)], SCHED)
         assert abs(fused - score_direct(q, k, 5, 2, np.ones(8), SCHED)) < 1e-12
 
     def test_linearity_over_sources(self):
         rng = np.random.default_rng(9)
         q = rng.standard_normal(8)
         keys = [rng.standard_normal(8) for _ in range(2)]
-        weights = [PairSymmetricWeight(Tensor(rng.standard_normal(4))) for _ in range(2)]
+        weights = [rng.standard_normal(4) for _ in range(2)]
         fused = fused_key_score(q, keys, (6, 3), weights, SCHED)
         summed = sum(
-            score_direct(q, keys[i], 6, 3, np.repeat(weights[i].free.numpy(), 2), SCHED)
+            score_direct(q, keys[i], 6, 3, np.repeat(weights[i], 2), SCHED)
             for i in range(2)
         )
         assert abs(fused - summed) < 1e-12
@@ -152,7 +152,7 @@ class TestFusedKeyScore:
         rng = np.random.default_rng(10)
         q = rng.standard_normal(8)
         keys = [rng.standard_normal(8) for _ in range(3)]
-        weights = [PairSymmetricWeight(Tensor(rng.standard_normal(4))) for _ in range(3)]
+        weights = [rng.standard_normal(4) for _ in range(3)]
         a = fused_key_score(q, keys, (9, 4), weights, SCHED)
         b = fused_key_score(q, keys, (14, 9), weights, SCHED)
         assert abs(a - b) < 1e-10
@@ -160,6 +160,11 @@ class TestFusedKeyScore:
     def test_mismatched_lists_rejected(self):
         with pytest.raises(DimensionError):
             fused_key_score(np.ones(8), [np.ones(8)], (1, 0), [], SCHED)
+
+    def test_weight_of_full_width_rejected(self):
+        # a weight is its D/2 free values; a length-D vector is not one
+        with pytest.raises(DimensionError, match="free weight"):
+            fused_key_score(np.ones(8), [np.ones(8)], (1, 0), [np.ones(8)], SCHED)
 
 
 class TestPostRotationFusion:

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from crosskv.rope import PairSymmetricWeight
+from crosskv.rope import expand_pairs
 from crosskv.sharing import (
     DIRECT,
     FUSION_SCALAR,
     FUSION_VECTOR,
-    FusionWeights,
     IterativeWeights,
     LayerCache,
     canonical_strategy,
+    fusion_weight,
     init_equivalent,
     init_normal,
     iterative_reconstruct,
@@ -123,10 +123,8 @@ class TestReconstruct:
     def test_one_hot_weights_reduce_to_selector(self):
         plan = plan_for_strategy("FusedKV", 4, 2)
         stored = random_caches((1, 2), seed=1)
-        weights = FusionWeights(
-            key={(i, j): PairSymmetricWeight(Tensor(np.full(4, float(j == 1)))) for i in (3, 4) for j in (1, 2)},
-            value={(i, j): Tensor(np.full(8, float(j == 2))) for i in (3, 4) for j in (1, 2)},
-        )
+        weights = {f"fusion.key.{i}.{j}": Tensor(np.full(4, float(j == 1))) for i in (3, 4) for j in (1, 2)}
+        weights.update({f"fusion.value.{i}.{j}": Tensor(np.full(8, float(j == 2))) for i in (3, 4) for j in (1, 2)})
         k, v = reconstruct(plan, weights, stored, 4)
         np.testing.assert_array_equal(k.numpy(), stored[1].keys.numpy())
         np.testing.assert_array_equal(v.numpy(), stored[2].values.numpy())
@@ -149,8 +147,8 @@ class TestReconstruct:
                             out[h, s, d] += w[d] * src[h, s, d]
             return out
 
-        want_k = loop_fuse(lambda j: weights.key_expanded(3, j).numpy(), lambda j: stored[j].keys.numpy())
-        want_v = loop_fuse(lambda j: weights.value[(3, j)].numpy(), lambda j: stored[j].values.numpy())
+        want_k = loop_fuse(lambda j: np.repeat(weights[f"fusion.key.3.{j}"].numpy(), 2), lambda j: stored[j].keys.numpy())
+        want_v = loop_fuse(lambda j: weights[f"fusion.value.3.{j}"].numpy(), lambda j: stored[j].values.numpy())
         np.testing.assert_allclose(k.numpy(), want_k, atol=1e-12)
         np.testing.assert_allclose(v.numpy(), want_v, atol=1e-12)
 
@@ -173,14 +171,15 @@ class TestInitNormal:
     def test_fixed_seed_reproduces(self):
         plan = plan_for_strategy("FusedKV", 6, 3)
         w1, w2 = init_normal(plan, 8, 11), init_normal(plan, 8, 11)
-        for (n1, t1), (n2, t2) in zip(w1.named_parameters(), w2.named_parameters()):
+        assert list(w1) == list(w2)
+        for (n1, t1), (n2, t2) in zip(w1.items(), w2.items()):
             assert n1 == n2
             np.testing.assert_array_equal(t1.numpy(), t2.numpy())
 
     def test_standard_moments(self):
         plan = plan_for_strategy("FusedKV", 2084, 1042)
         draws = np.concatenate(
-            [t.numpy().ravel() for _, t in init_normal(plan, 32, 5).named_parameters()]
+            [t.numpy().ravel() for t in init_normal(plan, 32, 5).values()]
         )
         assert draws.size >= 100_000
         assert abs(draws.mean()) < 0.02
@@ -189,13 +188,31 @@ class TestInitNormal:
     def test_key_weights_exactly_pair_symmetric(self):
         plan = plan_for_strategy("FusedKV", 4, 2)
         w = init_normal(plan, 8, 7)
-        e = w.key_expanded(3, 1).numpy()
-        assert np.array_equal(e[0::2], e[1::2])
+        assert w["fusion.key.3.1"].shape == (4,)
+        assert w["fusion.value.3.1"].shape == (8,)
+        e = fusion_weight(w, plan.rules[3].key, "key", 3, 1).numpy()
+        assert np.array_equal(e, np.repeat(w["fusion.key.3.1"].numpy(), 2))
+
+    def test_names_keys_then_values_in_numeric_order(self):
+        plan = plan_for_strategy("FusedKV", 6, 3)
+        w = init_normal(plan, 8, 7)
+        slots = [(i, j) for i in (4, 5, 6) for j in (1, 3)]
+        assert list(w) == [f"fusion.key.{i}.{j}" for i, j in slots] + [f"fusion.value.{i}.{j}" for i, j in slots]
+
+    def test_draw_order_layer_by_layer_keys_then_values(self):
+        # layer 3 draws its key weights then its value weights, then layer 4
+        plan = plan_for_strategy("FusedKV", 4, 2)
+        w = init_normal(plan, 8, 7)
+        draws = np.random.default_rng(7).standard_normal(2 * 4 + 2 * 8)
+        np.testing.assert_array_equal(w["fusion.key.3.1"].numpy(), draws[0:4])
+        np.testing.assert_array_equal(w["fusion.key.3.2"].numpy(), draws[4:8])
+        np.testing.assert_array_equal(w["fusion.value.3.1"].numpy(), draws[8:16])
+        np.testing.assert_array_equal(w["fusion.value.3.2"].numpy(), draws[16:24])
 
     def test_scalar_plan_draws_scalars(self):
         plan = plan_for_strategy("DenseFusion", 4, 2)
         w = init_normal(plan, 8, 7)
-        assert w.key[(3, 1)].shape == ()
+        assert w["fusion.key.3.1"].shape == ()
 
 
 class TestEquivalentInit:
@@ -203,9 +220,9 @@ class TestEquivalentInit:
         plan = plan_for_strategy("FusedKV", 3, 2)  # single reconstruction layer
         aux = sample_iterative_weights(plan, 8, 13)
         w = init_equivalent(plan, aux)
-        np.testing.assert_array_equal(w.key_expanded(3, 1).numpy(), aux.key[(3, 1)])
-        np.testing.assert_array_equal(w.key_expanded(3, 2).numpy(), aux.key[(3, 2)])
-        np.testing.assert_array_equal(w.value[(3, 1)].numpy(), aux.value[(3, 1)])
+        np.testing.assert_array_equal(expand_pairs(w["fusion.key.3.1"]).numpy(), aux.key[(3, 1)])
+        np.testing.assert_array_equal(expand_pairs(w["fusion.key.3.2"]).numpy(), aux.key[(3, 2)])
+        np.testing.assert_array_equal(w["fusion.value.3.1"].numpy(), aux.value[(3, 1)])
 
     def test_hand_unrolled_scalar_recursion(self):
         # n=2, L=4 with scalar weights; collapsing the chain by hand:
@@ -216,13 +233,13 @@ class TestEquivalentInit:
             value={(3, 1): 0.5, (3, 2): 0.25, (4, 3): 2.0, (4, 1): 1.0},
         )
         w = init_equivalent(plan, aux)
-        assert w.key[(3, 1)].item() == 0.5
-        assert w.key[(3, 2)].item() == 0.25
-        assert w.key[(4, 1)].item() == 1.0
-        assert w.key[(4, 2)].item() == 1.5
+        assert w["fusion.key.3.1"].item() == 0.5
+        assert w["fusion.key.3.2"].item() == 0.25
+        assert w["fusion.key.4.1"].item() == 1.0
+        assert w["fusion.key.4.2"].item() == 1.5
         # values mirror with the anchors swapped: extra term lands on source 1
-        assert w.value[(4, 1)].item() == 2.0 * 0.5 + 1.0
-        assert w.value[(4, 2)].item() == 2.0 * 0.25
+        assert w["fusion.value.4.1"].item() == 2.0 * 0.5 + 1.0
+        assert w["fusion.value.4.2"].item() == 2.0 * 0.25
 
     def test_reconstruction_matches_iterative_chain(self):
         plan = plan_for_strategy("FusedKV", 6, 3)

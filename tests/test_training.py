@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import crosskv.training
 from crosskv.model import ModelConfig, build_model
 from crosskv.training import (
     OptimizerParams,
     TrainingDivergedError,
-    corpus_vocab_size,
     make_batch,
     train,
 )
@@ -41,22 +41,47 @@ class TestTasks:
         assert mask.sum() == 6  # only the final transition
 
     def test_corpus_batch_windows(self):
-        vocab = corpus_vocab_size()
+        vocab = 64
         tokens, mask = make_batch("char-corpus", np.random.default_rng(2), vocab, 3, {"seq_len": 20})
         assert tokens.shape == (3, 20)
         assert tokens.max() < vocab
         assert mask.all()
 
     def test_corpus_needs_enough_vocab(self):
-        with pytest.raises(ValueError, match="vocab"):
+        with pytest.raises(ValueError, match=r"char-corpus task needs vocab >= \d+") as err:
             make_batch("char-corpus", np.random.default_rng(3), 4, 2, None)
+        need = int(str(err.value).split(">= ")[1].split(",")[0])  # the corpus charset size
+        tokens, _ = make_batch("char-corpus", np.random.default_rng(3), need, 2, None)
+        assert tokens.max() < need
+        with pytest.raises(ValueError, match="vocab"):
+            make_batch("char-corpus", np.random.default_rng(3), need - 1, 2, None)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="unknown task"):
             make_batch("sort", np.random.default_rng(4), 12, 2, None)
 
 
+class TestOptimizerParams:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            OptimizerParams(learning_rate=rate)
+
+
 class TestTrainLoop:
+    @pytest.mark.parametrize(
+        "task, options",
+        [("char-corpus", None), ("induction-heads", {"n_pairs": 12}), ("copy", None)],
+    )
+    def test_task_vocab_checked_before_any_batch(self, task, options, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
+        vocab = 2 if task == "copy" else 12
+        m = build_model(tiny_cfg(vocab_size=vocab), seed=0)
+        with pytest.raises(ValueError, match=f"{task} task needs vocab"):
+            train(m, task, 2, seed=1, batch_size=2, task_options=options)
+        assert drawn == []
+
     def test_fixed_seed_reproduces_loss_curve(self):
         r1 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2,
                    task_options={"prompt_len": 4})
@@ -107,8 +132,8 @@ class TestTrainLoop:
 
     def test_fusion_weights_update(self):
         m = build_model(tiny_cfg("Lite-Learnable"), seed=10)
-        before = m.fusion.key_expanded(2, 1).numpy().copy()
+        before = m.params["fusion.key.2.1"]
         train(m, "copy", 10, seed=11, batch_size=2, task_options={"prompt_len": 4})
-        after = m.fusion.key_expanded(2, 1).numpy()
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after[0::2], after[1::2])  # symmetry survives updates
+        after = m.params["fusion.key.2.1"]
+        assert not np.array_equal(before.numpy(), after.numpy())
+        assert after.shape == before.shape == (m.cfg.head_dim // 2,)  # still the free values: symmetric by construction
