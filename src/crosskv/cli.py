@@ -221,9 +221,9 @@ def build_parser() -> _Parser:
 
 
 def _optimizer(args) -> OptimizerParams:
-    """The training flags' optimizer, checked with the task's vocab need before any artifact."""
+    """The training flags' optimizer, checked with the task's vocab and sequence needs before any artifact."""
     try:
-        check_task(args.task, args.vocab, {"prompt_len": args.prompt_len})
+        check_task(args.task, args.vocab, {"prompt_len": args.prompt_len}, args.max_seq)
         return OptimizerParams(learning_rate=args.learning_rate)
     except ValueError as e:
         raise ConfigError(str(e))

@@ -40,6 +40,7 @@ from .sharing import (
 )
 from .tensor import (
     DimensionError,
+    EvaluationError,
     Tensor,
     cross_entropy,
     embed,
@@ -175,21 +176,26 @@ class DecoderModel:
 
     def load_state_dict(self, arrays: dict) -> None:
         """Replace every parameter. The arrays must name exactly this model's
-        parameters, each in its shape; nothing is replaced otherwise."""
+        parameters, each in its shape and finite; nothing is replaced otherwise."""
         missing = [name for name in self.params if name not in arrays]
         extra = [name for name in arrays if name not in self.params]
         if missing or extra:
             raise KeyError(
                 f"checkpoint does not match the {self.cfg.strategy} model: missing {missing}, extra {extra}"
             )
-        loaded = {name: np.asarray(arrays[name], dtype=self.cfg.dtype) for name in self.params}
-        for name, arr in loaded.items():
-            if arr.shape == (1,) and self.params[name].ndim == 0:
+        loaded = {}
+        for name, current in self.params.items():
+            arr = np.asarray(arrays[name], dtype=self.cfg.dtype)
+            if arr.shape == (1,) and current.ndim == 0:
                 # older v1 writers stored 0-d arrays, such as scalar weights, as shape (1,)
-                loaded[name] = arr = arr.reshape(())
-            if arr.shape != self.params[name].shape:
-                raise ValueError(f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {self.params[name].shape}")
-        self.params.update((name, Tensor(arr)) for name, arr in loaded.items())
+                arr = arr.reshape(())
+            if arr.shape != current.shape:
+                raise ValueError(f"parameter {name!r}: checkpoint shape {arr.shape}, model shape {current.shape}")
+            try:
+                loaded[name] = Tensor(arr)
+            except EvaluationError:
+                raise ValueError(f"parameter {name!r}: checkpoint holds non-finite values") from None
+        self.params.update(loaded)
 
     # -- forward -----------------------------------------------------------
 

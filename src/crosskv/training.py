@@ -126,19 +126,26 @@ def _corpus_batch(rng, batch: int, seq_len: int):
     return tokens, mask
 
 
-def check_task(task: str, vocab: int, options: dict | None = None) -> None:
-    """Raise ValueError unless `task` can draw batches for a `vocab`-token model with these options. Draws nothing."""
+def check_task(task: str, vocab: int, options: dict | None = None, max_seq_len: int | None = None) -> None:
+    """Raise ValueError unless `task` can draw batches for a `vocab`-token model with these options,
+    and, given `max_seq_len`, batches of sequences no longer than that. Draws nothing."""
     opts = options or {}
     if task == "char-corpus":
         ids, need = _load_corpus_ids()
-        if opts.get("seq_len", 48) >= ids.size:
+        length = opts.get("seq_len", 48)
+        if length >= ids.size:
             raise ValueError(f"corpus has only {ids.size} characters")
-    elif task in TASK_NAMES:
-        need = 3 if task == "copy" else opts.get("n_pairs", 8) + 1
+    elif task == "copy":
+        need, length = 3, 2 * opts.get("prompt_len", 8) + 1
+    elif task == "induction-heads":
+        n_pairs = opts.get("n_pairs", 8)
+        need, length = n_pairs + 1, 2 * n_pairs + 2
     else:
         raise ValueError(f"unknown task {task!r}; known: {', '.join(TASK_NAMES)}")
     if vocab < need:
         raise ValueError(f"{task} task needs vocab >= {need}, got {vocab}")
+    if max_seq_len is not None and length > max_seq_len:
+        raise ValueError(f"{task} task needs max sequence >= {length}, got {max_seq_len}")
 
 
 def make_batch(task: str, rng, vocab: int, batch_size: int, options: dict | None = None):
@@ -185,11 +192,13 @@ def train(
     Records the loss each step and Q/K/V projection gradient norms every
     `eval_interval` steps (and on the last step). A non-finite loss aborts
     with `TrainingDivergedError` naming the step. The task is checked
-    against the model's vocab before step 0.
+    against the model's vocab and max sequence length before step 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    check_task(task, model.cfg.vocab_size, task_options)
+    if eval_interval < 1:
+        raise ValueError(f"eval_interval must be >= 1, got {eval_interval}")
+    check_task(task, model.cfg.vocab_size, task_options, model.cfg.max_seq_len)
     opt = opt or OptimizerParams()
     rng = np.random.default_rng(seed)
 

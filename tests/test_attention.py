@@ -241,14 +241,3 @@ class TestFoldedKernel:
         # one query row folds the weights: the hand-written backward of
         # folded_scores / folded_values
         assert self.weighted_fd_error(1, 17) < 1e-6
-
-
-class TestGqaDegeneracy:
-    def test_kv_equals_query_heads_reproduces_mha(self):
-        rng = np.random.default_rng(12)
-        cfg = AttentionConfig(4, 4, 8)
-        cache = cache_of(rng, 4, 5, 8)
-        q = Tensor(rng.standard_normal((4, 5, 8)))
-        got = attend(q, cache, cfg, np.arange(5)).numpy()
-        want = loop_attention(q.numpy(), cache.keys.numpy(), cache.values.numpy(), 1, np.arange(5), np.arange(5))
-        assert np.abs(got - want).max() < 1e-12

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crosskv.checkpoint import save_checkpoint
 from crosskv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from crosskv.model import ModelConfig, build_model
 
 TINY_MODEL = [
     "--layers", "2", "--d-model", "16", "--query-heads", "2", "--kv-heads", "2",
@@ -191,6 +193,19 @@ class TestHeatmapCommand:
         restored = (tmp_path / "h" / "fusion_weights.csv").read_text()
         assert trained == restored  # trained snapshot == restored snapshot
 
+    def test_non_finite_checkpoint_exits_one(self, tmp_path, capsys):
+        cfg = ModelConfig(n_layers=2, d_model=16, n_query_heads=2, n_kv_heads=2, vocab_size=12, max_seq_len=32,
+                          strategy="DenseFusion")
+        state = build_model(cfg, seed=0).state_dict()
+        state["fusion.key.2.1"] = np.full_like(state["fusion.key.2.1"], np.nan)
+        save_checkpoint(state, tmp_path / "bad.ckpt")
+        out = tmp_path / "h"
+        args = ["heatmap", "--strategy", "DenseFusion", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                "--output-dir", str(out)] + TINY_MODEL
+        assert run(args) == EXIT_CONFIG
+        assert "'fusion.key.2.1': checkpoint holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecodeBench:
     def test_cache_columns(self, tmp_path):
@@ -338,10 +353,13 @@ class TestNamedErrors:
               "--vocab", "4"], "vocab"),
             (["train", "--seed", "1", "--learning-rate", "nan"], "learning rate"),
             (["train", "--seed", "1", "--learning-rate", "-1"], "learning rate"),
+            (["train", "--seed", "1", "--prompt-len", "40"], "copy task needs max sequence >= 81, got 32"),
+            (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--task", "char-corpus", "--vocab", "64"],
+             "char-corpus task needs max sequence >= 48, got 32"),
         ],
         ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-init-std-nan",
              "train-init-std-inf", "train-corpus-vocab", "compare-induction-vocab", "train-lr-nan",
-             "train-lr-negative"],
+             "train-lr-negative", "train-copy-too-long", "compare-corpus-too-long"],
     )
     def test_bad_model_or_training_input_exits_one_before_artifacts(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"

@@ -78,30 +78,6 @@ class TestCostTable:
 
 
 class TestRoofline:
-    def test_ttft_halves_when_compute_dominated(self):
-        spec = WorkloadSpec(24, 32768, 128, 16, 16)
-        dev = DEVICE_PRESETS["hbm-accelerator"]
-        r = roofline_latency(table1_costs("FusedKV", spec), dev).ttft_s / roofline_latency(
-            table1_costs("MHA", spec), dev
-        ).ttft_s
-        assert 0.45 <= r <= 0.55
-
-    def test_memory_bound_tpot_ratio_is_three_halves(self):
-        spec = WorkloadSpec(24, 32768, 128, 16, 16)
-        dev = DEVICE_PRESETS["hbm-accelerator"]
-        fused = roofline_latency(table1_costs("FusedKV", spec), dev, weight_bytes=0.0)
-        base = roofline_latency(table1_costs("MHA", spec), dev, weight_bytes=0.0)
-        assert fused.tpot_bound == "memory" and base.tpot_bound == "memory"
-        assert 1.45 <= fused.tpot_s / base.tpot_s <= 1.55
-
-    def test_compute_bound_overhead_negligible(self):
-        spec = WorkloadSpec(24, 32768, 128, 128, 2)
-        dev = DEVICE_PRESETS["compute-heavy"]
-        fused = roofline_latency(table1_costs("FusedKV", spec), dev)
-        base = roofline_latency(table1_costs("MHA", spec), dev)
-        assert fused.tpot_bound == "compute" and base.tpot_bound == "compute"
-        assert fused.tpot_s / base.tpot_s <= 1 + 3 / 256 + 0.01
-
     def test_weight_bytes_shift_the_memory_term(self):
         spec = WorkloadSpec(2, 16, 8, 2, 2)
         dev = DeviceProfile("d", 1e12, 1e9)

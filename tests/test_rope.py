@@ -10,7 +10,6 @@ from crosskv.rope import (
     score_direct,
 )
 from crosskv.tensor import DimensionError, Tape, Tensor, grad_check
-from crosskv.verify import COUNTEREXAMPLE
 
 SCHED = RopeSchedule(8)
 
@@ -40,15 +39,6 @@ class TestApplyRope:
         out = apply_rope(Tensor([[1.0, 0.0]]), np.array([1]), sched).numpy()
         np.testing.assert_allclose(out, [[np.cos(1.0), np.sin(1.0)]], atol=1e-15)
 
-    def test_pair_norms_preserved(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 8))
-        out = apply_rope(Tensor(x), np.arange(5) * 7, SCHED).numpy()
-        for j in range(4):
-            before = np.hypot(x[:, 2 * j], x[:, 2 * j + 1])
-            after = np.hypot(out[:, 2 * j], out[:, 2 * j + 1])
-            np.testing.assert_allclose(before, after, atol=1e-12)
-
     def test_negative_positions_rejected(self):
         with pytest.raises(ValueError):
             apply_rope(Tensor(np.ones((1, 8))), np.array([-1]), SCHED)
@@ -76,13 +66,6 @@ class TestScoreIdentity:
         got_direct = score_direct(q, k, 0, 0, np.ones(8), SCHED)
         np.testing.assert_allclose(got_direct, q @ k, atol=1e-12)
 
-    def test_identity_for_arbitrary_weights(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            q, k, w = rng.standard_normal(8), rng.standard_normal(8), rng.standard_normal(8)
-            m, n = (int(v) for v in rng.integers(0, 300, 2))
-            assert abs(score_direct(q, k, m, n, w, SCHED) - score_decomposed(q, k, m, n, w, SCHED)) < 1e-10
-
     def test_single_pair_weight_on_d2(self):
         sched = RopeSchedule(2)
         rng = np.random.default_rng(6)
@@ -99,16 +82,6 @@ class TestScoreIdentity:
         a = score_direct(q, k, 3, 1, w, SCHED)
         b = score_direct(q, k, 7, 5, w, SCHED)
         assert abs(a - b) < 1e-12
-
-    def test_pinned_asymmetric_counterexample(self):
-        # regression case found by randomized search: with w = [1,0,...] the
-        # score moves by ~4.79 under a joint shift of 4
-        ce = COUNTEREXAMPLE
-        w = np.zeros(8)
-        w[0] = 1.0
-        a = score_direct(ce["q"], ce["k"], ce["m"], ce["n"], w, SCHED)
-        b = score_direct(ce["q"], ce["k"], ce["m"] + ce["shift"], ce["n"] + ce["shift"], w, SCHED)
-        assert abs(a - b) > 1e-3
 
 
 class TestPairSymmetricWeight:
@@ -165,16 +138,3 @@ class TestFusedKeyScore:
         # a weight is its D/2 free values; a length-D vector is not one
         with pytest.raises(DimensionError, match="free weight"):
             fused_key_score(np.ones(8), [np.ones(8)], (1, 0), [np.ones(8)], SCHED)
-
-
-class TestPostRotationFusion:
-    def test_fusing_rotated_keys_equals_rotating_fused_raw_keys(self):
-        # symmetric weights commute with the per-pair rotations, which is
-        # why stored caches can stay rotated
-        rng = np.random.default_rng(11)
-        keys = [rng.standard_normal((1, 8)) for _ in range(3)]
-        weights = [np.repeat(rng.standard_normal(4), 2) for _ in range(3)]
-        pos = np.array([13])
-        post = sum(w * apply_rope(Tensor(k), pos, SCHED).numpy() for w, k in zip(weights, keys))
-        pre = apply_rope(Tensor(sum(w * k for w, k in zip(weights, keys))), pos, SCHED).numpy()
-        np.testing.assert_allclose(post, pre, atol=1e-10)

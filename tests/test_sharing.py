@@ -241,24 +241,6 @@ class TestEquivalentInit:
         assert w["fusion.value.4.1"].item() == 2.0 * 0.5 + 1.0
         assert w["fusion.value.4.2"].item() == 2.0 * 0.25
 
-    def test_reconstruction_matches_iterative_chain(self):
-        plan = plan_for_strategy("FusedKV", 6, 3)
-        rng = np.random.default_rng(17)
-        worst = 0.0
-        for trial in range(25):
-            aux = sample_iterative_weights(plan, 8, rng)
-            weights = init_equivalent(plan, aux)
-            stored = random_caches((1, 2, 3), seed=100 + trial)
-            chain = iterative_reconstruct(plan, aux, stored)
-            for i in plan.reconstruction_layers:
-                k, v = reconstruct(plan, weights, stored, i)
-                worst = max(
-                    worst,
-                    float(np.abs(k.numpy() - chain[i][0].numpy()).max()),
-                    float(np.abs(v.numpy() - chain[i][1].numpy()).max()),
-                )
-        assert worst < 1e-12
-
     def test_non_fusion_plan_rejected(self):
         plan = plan_for_strategy("FusedKV-Lite", 4, 2)
         with pytest.raises(ValueError, match="direct reuse"):

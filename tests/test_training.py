@@ -82,6 +82,25 @@ class TestTrainLoop:
             train(m, task, 2, seed=1, batch_size=2, task_options=options)
         assert drawn == []
 
+    @pytest.mark.parametrize(
+        "task, options, length",
+        [("copy", {"prompt_len": 16}, 33), ("induction-heads", {"n_pairs": 16}, 34), ("char-corpus", None, 48)],
+    )
+    def test_sequence_length_checked_before_any_batch(self, task, options, length, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
+        m = build_model(tiny_cfg(vocab_size=64), seed=0)  # max_seq_len 32
+        with pytest.raises(ValueError, match=f"{task} task needs max sequence >= {length}, got 32"):
+            train(m, task, 2, seed=1, batch_size=2, task_options=options)
+        assert drawn == []
+
+    def test_eval_interval_checked_before_any_batch(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError, match="eval_interval"):
+            train(build_model(tiny_cfg(), seed=0), "copy", 2, eval_interval=0, task_options={"prompt_len": 4})
+        assert drawn == []
+
     def test_fixed_seed_reproduces_loss_curve(self):
         r1 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2,
                    task_options={"prompt_len": 4})
