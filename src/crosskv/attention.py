@@ -14,7 +14,7 @@ fold into the small operands through the dot-product identities
     (w ⊙ q)·k = q·(w ⊙ k)        and        P·(V ⊙ b) = (P·V) ⊙ b,
 
 so a one-row query (a decode step) never builds a fused cache. A query of
-several rows (a prefill or a training pass) sums each side's terms once
+several rows (a prefill chunk or a training pass) sums each side's terms once
 instead, with the tape ops of `sharing.reconstruct`: folding would
 multiply its [s_q, s_k] score and value matmuls by the number of terms.
 Grouping is a free view of the queries as [..., H_kv, g·s_q, D]; no cache

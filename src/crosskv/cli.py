@@ -384,6 +384,9 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two strategies")
     configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
     opt = _optimizer(args)
+    summary_prompt = np.arange(min(16, args.vocab))  # each summary row decodes it plus 8 new tokens
+    if summary_prompt.size + 8 > args.max_seq:  # --max-seq is every config's max_seq_len
+        raise ConfigError(f"--max-seq {args.max_seq} is below the summary decode's {summary_prompt.size + 8} tokens")
     outdir = _output_dir(args)
     mirror = args.format == "json"
     write_manifest(outdir, "compare", {**_model_settings(args), "strategies": strategies, **_train_settings(args)},
@@ -400,7 +403,7 @@ def _cmd_compare(args) -> int:
             return EXIT_RUNTIME
         write_train_report(outdir, report, label=strategy, mirror_json=mirror)
         losses[strategy] = report.losses
-        res = model.decode(np.arange(min(16, cfg.vocab_size)) % cfg.vocab_size, 8)
+        res = model.decode(summary_prompt, 8)
         summaries.append(
             {
                 "strategy": strategy,

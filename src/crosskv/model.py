@@ -6,16 +6,19 @@ caches from stored ones, so their only attention parameters are the query
 and output projections plus any fusion weights. Blocks are pre-norm RMS,
 projections are biasless, and the MLP is a gated silu unit.
 
-Every pass runs one layer body, `_block`, through `_forward`: training
-and `forward_logits` over the whole sequence into a fresh cache dict,
-`decode` for its prefill and for each step, appending to the caches that
-only storage layers keep. An append writes the step's rows into a buffer
-of `max_seq_len` rows (`LayerCache.append`); only the first step copies
-the prefill's rows in. A reconstruction layer hands the attention kernel
-its sources' stored caches and fusion weights (`folded_cache`); the
-kernel folds them for a one-row step and sums them for a longer pass, so
-`sharing.reconstruct` stays an oracle for the tests. Training records on
-the gradient tape; decode runs tape-free.
+Every pass runs one layer body, `_block`: training and `forward_logits`
+over the whole sequence into a fresh cache dict, `decode` for each step
+and for its prefill, appending to the caches that only storage layers
+keep. The prefill embeds the prompt once, then runs it through the stack
+`PREFILL_CHUNK` rows at a time, so each chunk attends to the keys up to
+its own end and no [H, T, T] score tensor is built. An append writes the
+new rows into a buffer of `max_seq_len` rows (`LayerCache.append`); only
+the first append copies the first chunk's rows in. A reconstruction
+layer hands the attention kernel its sources' stored caches and fusion
+weights (`folded_cache`); the kernel folds them for a one-row step and
+sums them for a longer pass or chunk, so `sharing.reconstruct` stays an
+oracle for the tests. Training records on the gradient tape; decode runs
+tape-free.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ from .tensor import (
 # Not called here. The benchmark's tracer (perfbench/hooks.py) wraps this
 # name in this module by attribute, so it stays bound.
 from .sharing import reconstruct  # noqa: F401
+
+# Prompt rows per prefill chunk in `decode`; 128 measured best of 64/128/256
+# on a 768-token prompt (BENCH_9.json).
+PREFILL_CHUNK = 128
 
 __all__ = ["ModelConfig", "DecoderModel", "DecodeResult", "HeatmapResult", "build_model", "fusion_weight_heatmap"]
 
@@ -255,7 +262,10 @@ class DecoderModel:
     def _forward(self, tokens: np.ndarray, positions: np.ndarray, caches: dict) -> Tensor:
         """Logits [B, t, vocab] for `tokens` [B, t] at `positions`, through
         every layer's `_block` with the storage caches in `caches`."""
-        x = embed(self.params["embed"], tokens)
+        return self._layers(embed(self.params["embed"], tokens), positions, caches)
+
+    def _layers(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+        """`_forward` after the embedding: logits for the rows of `x`."""
         for i in range(1, self.cfg.n_layers + 1):
             x = self._block(i, x, positions, caches)
         h = rmsnorm(x, self.params["final_norm"])
@@ -303,9 +313,12 @@ class DecoderModel:
         """Greedy decoding with incremental caches for storage layers only.
 
         Logits row t is the distribution over token t+1; generated token
-        t+1 is its argmax. Reconstruction layers read the stored caches
-        through their fusion weights at every step and keep nothing, so only
-        |storage layers| caches ever persist.
+        t+1 is its argmax. The prefill embeds the prompt in one call, then
+        runs it tape-free through the layers in chunks of `PREFILL_CHUNK`
+        rows; a prompt of one chunk gives `forward_logits`' rows bit for
+        bit. Reconstruction layers read the stored caches through their
+        fusion weights at every step and keep nothing, so only |storage
+        layers| caches ever persist.
         """
         prompt = np.asarray(prompt)
         if prompt.ndim != 1 or prompt.size == 0:
@@ -320,7 +333,11 @@ class DecoderModel:
         self._check_tokens(prompt)
 
         caches: dict[int, LayerCache] = {}
-        logits_rows = list(self._forward(prompt[None, :], np.arange(prompt.size), caches).numpy()[0])
+        x = embed(self.params["embed"], prompt[None, :]).numpy()
+        logits_rows = []
+        for start in range(0, prompt.size, PREFILL_CHUNK):
+            rows = slice(start, start + PREFILL_CHUNK)
+            logits_rows.extend(self._layers(Tensor(x[:, rows]), np.arange(prompt.size)[rows], caches).numpy()[0])
 
         tokens = list(prompt)
         for _ in range(new_tokens):

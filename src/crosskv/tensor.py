@@ -445,14 +445,15 @@ def tsum(a) -> Tensor:
 
 
 def _masked_softmax_data(z: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Row-stable softmax over the last axis restricted to `allowed`;
-    disallowed entries are exactly zero."""
+    """Row-stable softmax over the last axis restricted to `allowed`, in
+    place on `z`, a fresh array; disallowed entries are exactly zero, since
+    exp(-inf - finite row max) is 0."""
     with np.errstate(invalid="ignore"):
-        masked = np.where(allowed, z, -np.inf)
-        row_max = masked.max(axis=-1, keepdims=True)
-        e = np.exp(masked - row_max)
-    e = np.where(allowed, e, 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
+        np.copyto(z, -np.inf, where=~allowed)
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def masked_softmax(scores, allowed: np.ndarray, scale_factor: float) -> Tensor:
@@ -462,9 +463,10 @@ def masked_softmax(scores, allowed: np.ndarray, scale_factor: float) -> Tensor:
     scores = _as_tensor(scores)
     if scale_factor <= 0:
         raise ValueError(f"scale must be positive, got {scale_factor}")
-    allowed = np.broadcast_to(np.asarray(allowed, dtype=bool), scores.shape)
+    allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=-1).all():
         raise EvaluationError("masked_softmax: a row has no allowed entries")
+    allowed = np.broadcast_to(allowed, scores.shape)
     p = _masked_softmax_data(scores.data * scale_factor, allowed)
 
     def backward(g):
@@ -496,12 +498,9 @@ def rmsnorm(x, gain) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1, e) / (1 + e)
 
 
 def swiglu(x) -> Tensor:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+import crosskv.model
 from crosskv.model import ModelConfig, build_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,3 +27,16 @@ def test_tracer_and_boundary_hooks_install_and_restore(monkeypatch):
         model.decode(np.arange(5), 3)
     assert len(bounds.tokens) == 3  # the prefill and two decode steps each embed once
     assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(targets, before))
+
+
+def test_chunked_prefill_embeds_once_per_forward_step(monkeypatch):
+    # the benchmark stamps a token boundary at each embed call: a prompt of
+    # several prefill chunks must still count as one forward step
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(crosskv.model, "PREFILL_CHUNK", 2)
+    hooks = importlib.import_module("hooks")
+    bounds = hooks.Boundaries()
+    model = build_model(ModelConfig(n_layers=4, d_model=16, n_query_heads=2, n_kv_heads=2, strategy="YOCO"), seed=0)
+    with hooks.patched(bounds.patches()):
+        model.decode(np.arange(7), 3)
+    assert len(bounds.tokens) == 3  # a 7-row prefill in 4 chunks and two decode steps

@@ -356,10 +356,14 @@ class TestNamedErrors:
             (["train", "--seed", "1", "--prompt-len", "40"], "copy task needs max sequence >= 81, got 32"),
             (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--task", "char-corpus", "--vocab", "64"],
              "char-corpus task needs max sequence >= 48, got 32"),
+            # the copy task fits in 18 tokens; each summary row's decode needs min(16, vocab) + 8 = 20
+            (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--steps", "1", "--batch-size", "1",
+              "--prompt-len", "4", "--max-seq", "18"], "--max-seq 18"),
         ],
         ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-init-std-nan",
              "train-init-std-inf", "train-corpus-vocab", "compare-induction-vocab", "train-lr-nan",
-             "train-lr-negative", "train-copy-too-long", "compare-corpus-too-long"],
+             "train-lr-negative", "train-copy-too-long", "compare-corpus-too-long",
+             "compare-summary-decode-too-long"],
     )
     def test_bad_model_or_training_input_exits_one_before_artifacts(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"

@@ -229,6 +229,53 @@ class TestDecode:
         res = m.decode(prompt, 0)
         assert np.array_equal(res.logits, m.forward_logits(prompt).numpy()[0])
 
+    @pytest.mark.parametrize("chunk", [1, 4, 5])
+    @pytest.mark.parametrize("n_kv_heads", [4, 2])
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_chunked_prefill_matches_whole_prompt(self, strategy, n_kv_heads, chunk, monkeypatch):
+        # 12 prompt rows in chunks of 1, 4 (divides) and 5 (does not), then decode steps
+        monkeypatch.setattr(crosskv.model, "PREFILL_CHUNK", chunk)
+        seen = []
+        layers = crosskv.model.DecoderModel._layers
+
+        def spy(model, x, positions, caches):
+            seen.append(caches)
+            return layers(model, x, positions, caches)
+
+        monkeypatch.setattr(crosskv.model.DecoderModel, "_layers", spy)
+        m = build_model(small_cfg(strategy, n_kv_heads=n_kv_heads), seed=21)
+        prompt = np.random.default_rng(22).integers(0, 16, size=12)
+        res = m.decode(prompt, 4)
+        stored = seen[0]  # decode's one cache dict, passed to every chunk and step
+        full = m.forward_logits(res.tokens).numpy()[0]
+        assert np.abs(full[: len(res.logits)] - res.logits).max() <= 1e-10
+        whole: dict = {}
+        m.forward_logits(prompt, caches_out=whole)
+        assert set(stored) == set(whole) == set(m.plan.storage_layers)
+        for i, want in whole.items():
+            for got, ref in ((stored[i].keys, want.keys), (stored[i].values, want.values)):
+                assert np.abs(got.numpy()[..., :12, :] - ref.numpy()).max() <= 1e-10
+
+    @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV"])
+    def test_chunked_prefill_never_holds_the_whole_score_tensor(self, strategy, monkeypatch):
+        # one [H, T, T] float64 score tensor is 2 MiB here; chunks of 16 rows
+        # attend to at most T keys, so their scores are [H, 16, T]
+        m = build_model(small_cfg(strategy, max_seq_len=256), seed=23)
+        prompt = np.random.default_rng(24).integers(0, 16, size=256)
+        score_bytes = m.cfg.n_query_heads * 256 * 256 * 8
+        peaks = {}
+        for chunk in (16, 256):
+            monkeypatch.setattr(crosskv.model, "PREFILL_CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                m.decode(prompt, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[chunk] = peak - before
+        assert peaks[16] < score_bytes <= peaks[256], peaks
+
     @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion"])
     def test_one_token_prompt_matches_full_recompute(self, strategy):
         # the one-row prefill reads the stored caches through folded weights

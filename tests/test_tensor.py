@@ -18,6 +18,7 @@ from crosskv.tensor import (
     repeat,
     rmsnorm,
     swiglu,
+    _sigmoid,
 )
 
 
@@ -149,6 +150,58 @@ class TestMaskedSoftmax:
         mask = np.tril(np.ones((4, 4), dtype=bool))
         out = masked_softmax(scores, mask, 0.5).numpy()
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def where_softmax(z, allowed):
+    """The np.where masked softmax that `masked_softmax` replaced, as the reference."""
+    with np.errstate(invalid="ignore"):
+        masked = np.where(allowed, z, -np.inf)
+        e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    e = np.where(allowed, e, 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def two_branch_sigmoid(z):
+    """The sigmoid that `_sigmoid` replaced, as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestKernelsMatchReference:
+    """The in-place softmax and the one-exp sigmoid give the reference bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_masked_softmax_bit_equal(self, dtype):
+        rng = np.random.default_rng(30)
+        single = np.zeros((5, 7), dtype=bool)
+        single[np.arange(5), rng.integers(0, 7, 5)] = True  # one allowed entry per row
+        cases = [
+            (rng.standard_normal((6, 6)) * 4, causal(6)),
+            (rng.standard_normal((3, 2, 6, 6)), causal(6)),  # one mask broadcast over leading axes
+            (rng.standard_normal((2, 5, 7)), single),
+            (rng.standard_normal((2, 4, 5)), (rng.random((2, 1, 5)) < 0.6) | (np.arange(5) == 2)),  # over rows
+        ]
+        for scores, mask in cases:
+            t = Tensor(scores, dtype=dtype)
+            want = where_softmax(t.numpy() * 0.7, np.broadcast_to(mask, t.shape))
+            got = masked_softmax(t, mask, 0.7).numpy()
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bit_equal_without_overflow(self, dtype):
+        z = np.concatenate([[800.0, -800.0, 0.0, -0.0, 40.0, -40.0], np.random.default_rng(31).standard_normal(64) * 9])
+        z = z.astype(dtype)
+        with np.errstate(over="raise"):
+            got = _sigmoid(z)
+        want = two_branch_sigmoid(z)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        assert got[:4].tolist() == [1.0, 0.0, 0.5, 0.5]
 
 
 class TestRmsnorm:
