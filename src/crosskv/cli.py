@@ -245,8 +245,8 @@ def _train_model(args, cfg: ModelConfig, opt: OptimizerParams, **options):
     return model, report
 
 
-def _train_settings(args) -> dict:
-    return {key: getattr(args, key) for key in ("task", "steps", "batch_size", "learning_rate", "prompt_len")}
+def _train_settings(args, *extra: str) -> dict:
+    return {key: getattr(args, key) for key in ("task", "steps", "batch_size", "learning_rate", "prompt_len", *extra)}
 
 
 def _cmd_train(args) -> int:
@@ -254,7 +254,8 @@ def _cmd_train(args) -> int:
     opt = _optimizer(args)
     outdir = _output_dir(args)
     model, report = _train_model(args, cfg, opt, eval_interval=args.eval_interval)
-    write_manifest(outdir, "train", {**_model_settings(args), **_train_settings(args)}, args.seed)
+    settings = {**_model_settings(args), **_train_settings(args, "eval_interval", "save_checkpoint")}
+    write_manifest(outdir, "train", settings, args.seed)
     write_train_report(outdir, report, mirror_json=args.format == "json")
     if args.save_checkpoint:
         save_checkpoint(model.state_dict(), outdir / "model.ckpt")
@@ -275,6 +276,10 @@ def _cmd_verify(args) -> int:
     results = run_suites(names or None)
     for r in results:
         print(r.line())
+    outdir = _output_dir(args)
+    write_manifest(outdir, "verify", {"suites": names or list(SUITES)}, args.seed)
+    rows = [vars(r) for r in results]
+    write_rows(outdir, "verify", ("suite", "name", "passed", "detail"), rows, mirror_json=args.format == "json")
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"verify: FAILED invariant {failures[0].suite}.{failures[0].name}", file=sys.stderr)
@@ -312,7 +317,7 @@ def _cmd_cost(args) -> int:
         {"methods": methods, "seq_lens": lengths, "layers": args.layers, "head_dim": args.head_dim,
          "query_heads": args.query_heads, "kv_heads": args.kv_heads,
          "bytes_per_element": args.bytes_per_element, "weight_bytes": args.weight_bytes,
-         "devices": [d.label for d in devices]},
+         "devices": [vars(d) for d in devices]},
         None,
     )
     write_rows(outdir, "costs", rows[0], rows, mirror_json=args.format == "json")

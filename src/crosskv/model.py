@@ -83,7 +83,7 @@ class ModelConfig:
     d_ff: int | None = None  # gated-MLP width h; default 2 * d_model
 
     def __post_init__(self):
-        sizes = ("n_layers", "d_model", "n_query_heads", "n_kv_heads", "max_seq_len")
+        sizes = ("n_layers", "d_model", "n_query_heads", "n_kv_heads", "vocab_size", "max_seq_len")
         for name in sizes + (("d_ff",) if self.d_ff is not None else ()):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
@@ -93,10 +93,7 @@ class ModelConfig:
         RopeSchedule(self.head_dim, self.rope_base)  # the schedule DecoderModel builds; needs even head_dim
         if not np.isfinite(self.init_std):
             raise ValueError(f"init_std must be finite, got {self.init_std!r}")
-        if self.n_query_heads % self.n_kv_heads != 0:
-            raise DimensionError(
-                f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads"
-            )
+        AttentionConfig(self.n_query_heads, self.n_kv_heads, self.head_dim)  # the config DecoderModel builds
         if self.middle is not None and not 1 <= self.middle < self.n_layers:
             raise ValueError(f"middle {self.middle} out of range [1, {self.n_layers - 1}]")
         plan = plan_for_strategy(self.strategy, self.n_layers, self.middle)  # the plan build_model uses
@@ -254,7 +251,7 @@ class DecoderModel:
         else:
             new = self._layer_cache(i, xn, positions)
             caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new
-        o = attend(q, cache, self.attn_cfg, positions, np.arange(cache.length))
+        o = attend(q, cache, self.attn_cfg, positions)
         x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
         return x + matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])

@@ -50,8 +50,8 @@ class RopeSchedule:
     def __post_init__(self):
         if self.head_dim <= 0 or self.head_dim % 2 != 0:
             raise DimensionError(f"head_dim must be positive and even, got {self.head_dim}")
-        if not self.base > 1.0:  # also rejects NaN
-            raise ValueError(f"rope base must exceed 1, got {self.base}")
+        if not 1.0 < self.base < np.inf:  # also rejects NaN
+            raise ValueError(f"rope base must be finite and exceed 1, got {self.base}")
 
     @property
     def angles(self) -> np.ndarray:
@@ -72,12 +72,9 @@ def _rotation_tables_cached(head_dim: int, base: float, pos_bytes: bytes, n: int
 def _rotation_tables(sched: RopeSchedule, positions: np.ndarray):
     """cos/sin of position*theta_j, shape [len(positions), D/2]; cached,
     since forward passes reuse the same position vectors constantly."""
-    positions = np.asarray(positions)
-    if positions.ndim != 1:
-        raise DimensionError(f"positions must be a vector, got shape {positions.shape}")
     if positions.dtype.kind not in "iu":
         raise TypeError("positions must be integers")
-    if positions.size and positions.min() < 0:
+    if positions.min() < 0:
         raise ValueError("positions must be nonnegative")
     positions = positions.astype(np.int64, copy=False)
     return _rotation_tables_cached(sched.head_dim, sched.base, positions.tobytes(), positions.size)

@@ -337,10 +337,6 @@ class FoldedCache:
     value_terms: tuple
     layer: int
 
-    @property
-    def length(self) -> int:
-        return self.key_terms[0][0].shape[-2]
-
 
 def fusion_weight(weights: dict, rule: CacheRule, cache: str, i: int, j: int) -> Tensor:
     """The weight on source j of layer i's `cache` ("key" or "value")

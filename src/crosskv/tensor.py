@@ -32,9 +32,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "add",
-    "sub",
     "mul",
-    "scale",
     "matmul",
     "matmul_t",
     "repeat",
@@ -154,27 +152,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return scale(self, 1.0 / float(c))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self) -> "Tensor":
         return tsum(self)
@@ -342,17 +323,6 @@ def add(a, b) -> Tensor:
     return record_op("add", out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcastable(a, b, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return record_op("sub", out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcastable(a, b, "mul")
@@ -363,17 +333,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
 
     return record_op("mul", out, (a, b), backward)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    out = a.data * c
-
-    def backward(g):
-        return (g * c,)
-
-    return record_op("scale", out, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:

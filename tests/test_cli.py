@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import platform
@@ -6,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosskv.cli
 from crosskv.checkpoint import save_checkpoint
-from crosskv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from crosskv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME, main
 from crosskv.model import ModelConfig, build_model
+from crosskv.training import TrainingDivergedError
 
 TINY_MODEL = [
     "--layers", "2", "--d-model", "16", "--query-heads", "2", "--kv-heads", "2",
@@ -21,17 +25,43 @@ def run(argv):
 
 
 class TestVerifyCommand:
-    def test_suite_dispatch_exits_zero(self, capsys):
-        assert run(["verify", "--suite", "rope", "--seed", "1"]) == EXIT_OK
+    def test_suite_dispatch_exits_zero(self, tmp_path, capsys):
+        assert run(["verify", "--suite", "rope", "--seed", "1", "--output-dir", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS] rope.decomposition_identity" in out
 
-    def test_unknown_suite_is_config_error(self, capsys):
-        assert run(["verify", "--suite", "nope", "--seed", "1"]) == EXIT_CONFIG
+    def test_unknown_suite_is_config_error(self, tmp_path, capsys):
+        assert run(["verify", "--suite", "nope", "--seed", "1", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
-    def test_seed_is_required(self):
-        assert run(["verify", "--suite", "rope"]) == EXIT_CONFIG
+    def test_seed_is_required(self, tmp_path):
+        assert run(["verify", "--suite", "rope", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_writes_manifest_and_one_row_per_invariant(self, tmp_path):
+        args = ["verify", "--suite", "rope", "--seed", "1", "--output-dir", str(tmp_path), "--format", "json"]
+        assert run(args) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["command"], manifest["config"], manifest["seed"]) == ("verify", {"suites": ["rope"]}, 1)
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()))
+        assert len(rows) == 6 and set(rows[0]) == {"suite", "name", "passed", "detail"}
+        assert rows[0]["suite"] == "rope" and rows[0]["name"] == "decomposition_identity"
+        assert all(row["passed"] == "True" for row in rows)
+        assert [r["name"] for r in json.loads((tmp_path / "verify.json").read_text())] == [r["name"] for r in rows]
+
+    def test_violation_exits_three_naming_it_and_still_writes(self, tmp_path, monkeypatch, capsys):
+        real = crosskv.cli.run_suites
+
+        def one_failed(names):
+            results = real(names)
+            results[1] = dataclasses.replace(results[1], passed=False)
+            return results
+
+        monkeypatch.setattr(crosskv.cli, "run_suites", one_failed)
+        assert run(["verify", "--suite", "rope", "--seed", "1", "--output-dir", str(tmp_path)]) == EXIT_INVARIANT
+        assert "FAILED invariant rope.symmetric_weights_shift_invariant" in capsys.readouterr().err
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()))
+        assert [row["passed"] for row in rows[:3]] == ["True", "False", "True"]
+        assert (tmp_path / "manifest.json").exists()
 
 
 class TestTrainCommand:
@@ -74,6 +104,14 @@ class TestTrainCommand:
     def test_bad_strategy_is_config_error(self, tmp_path, capsys):
         args = ["train", "--strategy", "bogus", "--seed", "1", "--output-dir", str(tmp_path)]
         assert run(args) == EXIT_CONFIG
+
+    def test_divergence_exits_two_before_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["train", "--seed", "1", "--learning-rate", "1e6", "--init-std", "0.5",
+                "--output-dir", str(out)] + TINY_MODEL
+        assert run(args) == EXIT_RUNTIME
+        assert "diverged at step" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -164,6 +202,19 @@ class TestCostCommand:
 
     def test_unknown_device_preset(self, tmp_path):
         assert run(["cost", "--device", "warp-core", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_manifest_records_each_device_and_its_rates(self, tmp_path):
+        dev = tmp_path / "dev.profile"
+        dev.write_text("label = mybox\npeak_flops = 1e14\nbandwidth = 1e12\n")
+        args = ["cost", "--methods", "MHA,FusedKV", "--S", "1024", "--device", "compute-heavy",
+                "--device-file", str(dev), "--output-dir", str(tmp_path / "out")]
+        assert run(args) == EXIT_OK
+        devices = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["devices"]
+        assert devices == [
+            {"label": "compute-heavy", "peak_flops": 1.0e12, "bandwidth": 1.0e13},
+            {"label": "mybox", "peak_flops": 1e14, "bandwidth": 1e12},
+        ]
+        assert "compute-heavy" in (tmp_path / "out" / "costs.csv").read_text()
 
 
 class TestHeatmapCommand:
@@ -257,8 +308,6 @@ class TestCompareCommand:
                 "--task", "copy", "--steps", "3", "--seed", "4", "--batch-size", "2",
                 "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
         assert run(args) == EXIT_OK
-        import csv
-
         with open(tmp_path / "compare_summary.csv") as fh:
             rows = {row["strategy"]: row for row in csv.DictReader(fh)}
         vanilla = int(rows["Vanilla"]["peak_cache_elements"])
@@ -268,6 +317,25 @@ class TestCompareCommand:
         losses = (tmp_path / "compare_losses.csv").read_text().splitlines()
         assert losses[0] == "step,Vanilla,YOCO,FusedKV,FusedKV-Lite"
         assert len(losses) == 4  # header + 3 steps
+
+    def test_second_strategy_diverging_keeps_the_first(self, tmp_path, monkeypatch, capsys):
+        real, calls = crosskv.cli.train, []
+
+        def diverge_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrainingDivergedError(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crosskv.cli, "train", diverge_second)
+        args = ["compare", "--strategies", "Vanilla,YOCO", "--steps", "2", "--seed", "4", "--batch-size", "2",
+                "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_RUNTIME
+        assert "YOCO diverged at step 1" in capsys.readouterr().err
+        assert (tmp_path / "Vanilla_losses.csv").exists() and not (tmp_path / "YOCO_losses.csv").exists()
+        with open(tmp_path / "compare_summary.csv") as fh:
+            assert [row["strategy"] for row in csv.DictReader(fh)] == ["Vanilla"]
+        assert (tmp_path / "compare_losses.csv").read_text().splitlines()[0] == "step,Vanilla,YOCO"
 
 
 TINY_CONFIG = {
@@ -289,7 +357,8 @@ class TestManifestConfig:
         args = ["train", "--strategy", "YOCO", "--seed", "3", "--steps", "2", "--batch-size", "2",
                 "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
         assert run(args) == EXIT_OK
-        assert self._config(tmp_path) == json.dumps({**TINY_CONFIG, **TRAIN_CONFIG}, sort_keys=True)
+        expected = {**TINY_CONFIG, **TRAIN_CONFIG, "eval_interval": 25, "save_checkpoint": False}
+        assert self._config(tmp_path) == json.dumps(expected, sort_keys=True)
 
     def test_compare(self, tmp_path):
         args = ["compare", "--strategies", "Vanilla,YOCO", "--strategy", "YOCO", "--seed", "3",
@@ -346,6 +415,7 @@ class TestNamedErrors:
             (["train", "--seed", "1", "--rope-base", "0.5"], "rope base"),
             (["heatmap", "--strategy", "FusedKV", "--rope-base", "1"], "rope base"),
             (["decode-bench", "--rope-base", "0.9"], "rope base"),
+            (["train", "--seed", "1", "--rope-base", "inf"], "rope base"),
             (["train", "--seed", "1", "--init-std", "nan"], "init_std"),
             (["train", "--seed", "1", "--init-std", "inf"], "init_std"),
             (["train", "--seed", "1", "--task", "char-corpus", "--vocab", "8"], "vocab"),
@@ -360,7 +430,7 @@ class TestNamedErrors:
             (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--steps", "1", "--batch-size", "1",
               "--prompt-len", "4", "--max-seq", "18"], "--max-seq 18"),
         ],
-        ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-init-std-nan",
+        ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-rope-base-inf", "train-init-std-nan",
              "train-init-std-inf", "train-corpus-vocab", "compare-induction-vocab", "train-lr-nan",
              "train-lr-negative", "train-copy-too-long", "compare-corpus-too-long",
              "compare-summary-decode-too-long"],

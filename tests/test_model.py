@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -49,14 +50,22 @@ class TestConfig:
             ({"rope_base": 0.5}, "rope base"),
             ({"rope_base": 1.0}, "rope base"),
             ({"rope_base": float("nan")}, "rope base"),
+            ({"rope_base": float("inf")}, "rope base"),
             ({"init_std": float("nan")}, "init_std"),
             ({"init_std": float("inf")}, "init_std"),
         ],
-        ids=["rope-base-below-one", "rope-base-one", "rope-base-nan", "init-std-nan", "init-std-inf"],
+        ids=["rope-base-below-one", "rope-base-one", "rope-base-nan", "rope-base-inf", "init-std-nan",
+             "init-std-inf"],
     )
     def test_rope_base_and_init_std_checked(self, fields, message):
         with pytest.raises(ValueError, match=message):
             ModelConfig(**fields)
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(8), 0, 1])
+    def test_vocab_size_is_an_integer_of_at_least_two(self, value):
+        # a float vocab used to pass here and fail later in build_model
+        with pytest.raises(ValueError, match="vocab_size must be"):
+            ModelConfig(vocab_size=value)
 
     def test_middle_range_checked(self):
         with pytest.raises(ValueError):
@@ -283,6 +292,30 @@ class TestDecode:
         res = m.decode(np.array([5]), 10)
         full = m.forward_logits(res.tokens).numpy()[0]
         assert np.abs(full[: len(res.logits)] - res.logits).max() <= 1e-10
+
+    @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion"])
+    def test_two_threads_decode_one_model_as_in_sequence(self, strategy):
+        # two prefill chunks, then decode steps that append to each thread's own caches
+        m = build_model(small_cfg(strategy, max_seq_len=192), seed=19)
+        rng = np.random.default_rng(20)
+        prompts = [rng.integers(0, 16, size=150) for _ in range(2)]
+        sequential = [m.decode(p, 40) for p in prompts]
+        concurrent = [None, None]
+        start = threading.Barrier(2)
+
+        def run(k):
+            start.wait()
+            concurrent[k] = m.decode(prompts[k], 40)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for seq, con in zip(sequential, concurrent):
+            assert np.array_equal(con.tokens, seq.tokens)
+            assert np.array_equal(con.logits, seq.logits)
 
     def test_zero_new_tokens_only_prefills(self):
         m = build_model(small_cfg(), seed=6)

@@ -9,12 +9,14 @@ from crosskv.tensor import (
     EvaluationError,
     Tape,
     Tensor,
+    add,
     cross_entropy,
     embed,
     grad_check,
     masked_softmax,
     matmul,
     matmul_t,
+    mul,
     repeat,
     rmsnorm,
     swiglu,
@@ -377,6 +379,16 @@ class TestTapeThreads:
         assert not t.is_alive()
         assert outcome == ["ok"]
         assert len(mine.nodes) == 3
+
+
+class TestBroadcastGradients:
+    @pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+    def test_size_one_axis_sums_back(self, op):
+        # a [1, D] operand against a [T, D] one: its gradient sums over T, kept as [1, D]
+        row, full = rand(1, 6, seed=40), rand(5, 6, seed=41)
+        w = rand(5, 6, seed=42)
+        assert grad_check(lambda: (op(row, full) * w).sum(), [row, full]) < 1e-8
+        assert grad_check(lambda: (op(full, row) * w).sum(), [row, full]) < 1e-8
 
 
 class TestStructuralOps:
