@@ -17,7 +17,7 @@ from .costmodel import (
     sweep,
     table1_costs,
 )
-from .model import DecoderModel, DecodeResult, ModelConfig, build_model, fusion_weight_heatmap
+from .model import DecoderModel, DecodeResult, ModelConfig, build_model, fusion_weight_rows
 from .rope import (
     RopeSchedule,
     apply_rope,
@@ -47,6 +47,6 @@ from .tensor import (
     rmsnorm,
     swiglu,
 )
-from .training import OptimizerParams, TrainingDivergedError, TrainReport, train
+from .training import TrainingDivergedError, TrainReport, train
 
 __version__ = "0.1.0"

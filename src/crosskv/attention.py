@@ -50,8 +50,6 @@ class AttentionConfig:
             raise DimensionError(
                 f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads"
             )
-        if self.head_dim % 2 != 0:
-            raise DimensionError(f"head_dim must be even for rotation, got {self.head_dim}")
 
     @property
     def group_size(self) -> int:

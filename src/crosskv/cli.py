@@ -29,9 +29,9 @@ from .costmodel import (
     read_key_values,
     sweep,
 )
-from .model import ModelConfig, build_model, fusion_weight_heatmap
-from .report import write_heatmap, write_manifest, write_rows, write_train_report
-from .training import TASK_NAMES, OptimizerParams, TrainingDivergedError, check_task, train
+from .model import ModelConfig, build_model, fusion_weight_rows
+from .report import write_manifest, write_rows, write_train_report
+from .training import DEFAULT_LEARNING_RATE, DEFAULT_PROMPT_LEN, TASK_NAMES, TrainingDivergedError, check_training, train
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -164,8 +164,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument("--learning-rate", type=float, default=OptimizerParams.learning_rate)
-    p.add_argument("--prompt-len", type=_positive_int, default=8, help="copy-task prompt length")
+    p.add_argument("--learning-rate", type=float, default=DEFAULT_LEARNING_RATE)
+    p.add_argument("--prompt-len", type=_positive_int, default=DEFAULT_PROMPT_LEN, help="copy-task prompt length")
 
 
 def build_parser() -> _Parser:
@@ -220,26 +220,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _optimizer(args) -> OptimizerParams:
-    """The training flags' optimizer, checked with the task's vocab and sequence needs before any artifact."""
+def _check_training(args) -> None:
+    """The training flags, checked with the task's vocab and sequence needs before any artifact."""
     try:
-        check_task(args.task, args.vocab, {"prompt_len": args.prompt_len}, args.max_seq)
-        return OptimizerParams(learning_rate=args.learning_rate)
+        check_training(args.task, args.vocab, args.max_seq, args.prompt_len, args.learning_rate)
     except ValueError as e:
         raise ConfigError(str(e))
 
 
-def _train_model(args, cfg: ModelConfig, opt: OptimizerParams, **options):
+def _train_model(args, cfg: ModelConfig, **options):
     """Build `cfg`'s model and train it with the shared training flags."""
     model = build_model(cfg, seed=args.seed)
     report = train(
         model,
         args.task,
         args.steps,
-        opt=opt,
+        learning_rate=args.learning_rate,
         seed=args.seed,
         batch_size=args.batch_size,
-        task_options={"prompt_len": args.prompt_len},
+        prompt_len=args.prompt_len,
         **options,
     )
     return model, report
@@ -251,9 +250,9 @@ def _train_settings(args, *extra: str) -> dict:
 
 def _cmd_train(args) -> int:
     cfg = _model_config(args)
-    opt = _optimizer(args)
+    _check_training(args)
     outdir = _output_dir(args)
-    model, report = _train_model(args, cfg, opt, eval_interval=args.eval_interval)
+    model, report = _train_model(args, cfg, eval_interval=args.eval_interval)
     settings = {**_model_settings(args), **_train_settings(args, "eval_interval", "save_checkpoint")}
     write_manifest(outdir, "train", settings, args.seed)
     write_train_report(outdir, report, mirror_json=args.format == "json")
@@ -333,13 +332,15 @@ def _cmd_heatmap(args) -> int:
         except (OSError, KeyError, ValueError) as e:
             raise ConfigError(f"checkpoint {args.checkpoint}: {e}")
     try:
-        hm = fusion_weight_heatmap(model)
+        rows = fusion_weight_rows(model)
     except ValueError as e:
         raise ConfigError(str(e))
     outdir = _output_dir(args)
     write_manifest(outdir, "heatmap", {**_model_settings(args), "checkpoint": args.checkpoint}, args.seed)
-    write_heatmap(outdir, "fusion_weights", hm, mirror_json=args.format == "json")
-    print(f"heatmap: {len(hm.targets)} targets x ({len(hm.key_sources)} key / {len(hm.value_sources)} value sources) -> {outdir}")
+    write_rows(outdir, "fusion_weights", rows[0], rows, mirror_json=args.format == "json")
+    targets = {row["target"] for row in rows}
+    key_sources, value_sources = ({row["source"] for row in rows if row["kind"] == kind} for kind in ("key", "value"))
+    print(f"heatmap: {len(targets)} targets x ({len(key_sources)} key / {len(value_sources)} value sources) -> {outdir}")
     return EXIT_OK
 
 
@@ -388,7 +389,7 @@ def _cmd_compare(args) -> int:
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
     configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
-    opt = _optimizer(args)
+    _check_training(args)
     summary_prompt = np.arange(min(16, args.vocab))  # each summary row decodes it plus 8 new tokens
     if summary_prompt.size + 8 > args.max_seq:  # --max-seq is every config's max_seq_len
         raise ConfigError(f"--max-seq {args.max_seq} is below the summary decode's {summary_prompt.size + 8} tokens")
@@ -400,7 +401,7 @@ def _cmd_compare(args) -> int:
     losses: dict[str, list[float]] = {}
     for strategy, cfg in zip(strategies, configs):
         try:
-            model, report = _train_model(args, cfg, opt)
+            model, report = _train_model(args, cfg)
         except TrainingDivergedError as e:
             # keep the artifacts of the finished members
             print(f"compare: {strategy} diverged at step {e.step}; partial artifacts kept", file=sys.stderr)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .sharing import canonical_strategy
+
 __all__ = [
     "COST_METHODS",
     "WorkloadSpec",
@@ -36,22 +38,16 @@ __all__ = [
 
 COST_METHODS = ("MHA", "YOCO", "FusedKV-Lite", "FusedKV")
 
-_METHOD_ALIASES = {
-    "mha": "MHA",
-    "gqa": "MHA",  # same row; head counts live in the workload
-    "vanilla": "MHA",
-    "yoco": "YOCO",
-    "fusedkv-lite": "FusedKV-Lite",
-    "lite": "FusedKV-Lite",
-    "fusedkv": "FusedKV",
-}
+# Catalog strategy -> Table 1 row; GQA shares MHA's row (head counts live in the workload).
+_TABLE1_ROWS = {"Vanilla": "MHA", "GQA": "MHA", "YOCO": "YOCO", "FusedKV-Lite": "FusedKV-Lite", "FusedKV": "FusedKV"}
 
 
 def canonical_method(name: str) -> str:
-    key = name.strip().lower()
-    if key not in _METHOD_ALIASES:
-        raise ValueError(f"unknown method {name!r}; known: {', '.join(COST_METHODS)}")
-    return _METHOD_ALIASES[key]
+    """The Table 1 row of a strategy name or alias (`sharing.canonical_strategy`)."""
+    try:
+        return _TABLE1_ROWS[canonical_strategy(name)]
+    except (KeyError, ValueError):
+        raise ValueError(f"unknown method {name!r}; known: {', '.join(COST_METHODS)}") from None
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from .sharing import reconstruct  # noqa: F401
 # on a 768-token prompt (BENCH_9.json).
 PREFILL_CHUNK = 128
 
-__all__ = ["ModelConfig", "DecoderModel", "DecodeResult", "HeatmapResult", "build_model", "fusion_weight_heatmap"]
+__all__ = ["ModelConfig", "DecoderModel", "DecodeResult", "build_model", "fusion_weight_rows"]
 
 
 @dataclass(frozen=True)
@@ -128,20 +128,6 @@ class DecodeResult:
     peak_cache_layers: int  # persistent LayerCache count (== |storage layers|)
     peak_cache_elements: int  # total stored K/V elements at maximum length
     cache_length: int
-
-
-@dataclass
-class HeatmapResult:
-    """Per-(target, source) fusion weight summary, keys and values separately.
-
-    Scalar weights are reported as-is; vector weights as mean |w|.
-    """
-
-    targets: tuple[int, ...]
-    key_sources: tuple[int, ...]
-    value_sources: tuple[int, ...]
-    key_matrix: np.ndarray  # [len(targets), len(key_sources)]
-    value_matrix: np.ndarray
 
 
 def _swap_head_axes(t: Tensor, grouped: tuple, out_shape: tuple, op: str) -> Tensor:
@@ -346,11 +332,6 @@ class DecoderModel:
             step = self._forward(np.array([[nxt]], dtype=prompt.dtype), np.array([pos]), caches)
             logits_rows.append(step.numpy()[0, 0])
 
-        if set(caches) != set(self.plan.storage_layers):
-            raise RuntimeError(
-                f"decode kept caches for layers {sorted(caches)}, "
-                f"not the storage layers {list(self.plan.storage_layers)}"
-            )
         elements = sum(c.keys.size + c.values.size for c in caches.values())
         return DecodeResult(
             tokens=np.asarray(tokens),
@@ -399,26 +380,28 @@ def build_model(cfg: ModelConfig, seed) -> DecoderModel:
     return DecoderModel(cfg, plan, params)
 
 
-def fusion_weight_heatmap(model: DecoderModel) -> HeatmapResult:
-    """Per-(target, source) weight magnitudes for strategies with fusion
-    weights; raises for pure direct-reuse plans."""
+def fusion_weight_rows(model: DecoderModel) -> list[dict]:
+    """One (kind, target, source, weight) row per reconstruction layer and
+    fusion source, each target's key rows before its value rows. A scalar
+    weight is reported as-is, a vector weight as mean |w|, and a source the
+    target does not read as 0. Raises for pure direct-reuse plans."""
     plan = model.plan
     if not plan.has_fusion_weights:
         raise ValueError(f"strategy {model.cfg.strategy!r} has no fusion weights")
     targets = plan.reconstruction_layers
-
-    def summary(cache: str):
-        rules = {i: getattr(plan.rules[i], cache) for i in targets}
-        sources = tuple(sorted({j for rule in rules.values() if rule.kind != DIRECT for j in rule.sources}))
-
-        def summarize(i, j):
-            if rules[i].kind == DIRECT or j not in rules[i].sources:
-                return 0.0
-            arr = fusion_weight(model.params, rules[i], cache, i, j).numpy()
-            return float(arr) if arr.ndim == 0 else float(np.abs(arr).mean())
-
-        return sources, np.array([[summarize(i, j) for j in sources] for i in targets])
-
-    key_sources, key_matrix = summary("key")
-    value_sources, value_matrix = summary("value")
-    return HeatmapResult(targets, key_sources, value_sources, key_matrix, value_matrix)
+    rules = {cache: {i: getattr(plan.rules[i], cache) for i in targets} for cache in ("key", "value")}
+    sources = {
+        cache: sorted({j for rule in by_target.values() if rule.kind != DIRECT for j in rule.sources})
+        for cache, by_target in rules.items()
+    }
+    rows = []
+    for i in targets:
+        for cache in ("key", "value"):
+            rule = rules[cache][i]
+            for j in sources[cache]:
+                weight = 0.0
+                if rule.kind != DIRECT and j in rule.sources:
+                    arr = fusion_weight(model.params, rule, cache, i, j).numpy()
+                    weight = float(arr) if arr.ndim == 0 else float(np.abs(arr).mean())
+                rows.append({"kind": cache, "target": i, "source": j, "weight": repr(weight)})
+    return rows

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "code_version",
-    "write_heatmap",
     "write_manifest",
     "write_rows",
     "write_train_report",
@@ -96,39 +95,13 @@ def write_rows(directory: Path, name: str, columns, rows, mirror_json: bool = Fa
     return written
 
 
-def write_heatmap(directory: Path, name: str, hm, mirror_json: bool = False) -> list[Path]:
-    """Write a HeatmapResult as one row per (kind, target, source) weight."""
-    rows = []
-    for ti, target in enumerate(hm.targets):
-        for si, src in enumerate(hm.key_sources):
-            rows.append({"kind": "key", "target": target, "source": src, "weight": repr(float(hm.key_matrix[ti, si]))})
-        for si, src in enumerate(hm.value_sources):
-            rows.append({"kind": "value", "target": target, "source": src, "weight": repr(float(hm.value_matrix[ti, si]))})
-    return write_rows(directory, name, ("kind", "target", "source", "weight"), rows, mirror_json)
-
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
-
-
 def write_train_report(directory: Path, report, label: str = "", mirror_json: bool = False) -> list[Path]:
     """Serialize a TrainReport: loss curve, per-layer gradient norms, and
-    the fusion-weight snapshot when the strategy has one."""
+    the fusion-weight rows when the strategy has them."""
     prefix = f"{label}_" if label else ""
     loss_rows = [{"step": i, "loss": repr(loss)} for i, loss in enumerate(report.losses)]
     files = write_rows(directory, f"{prefix}losses", ("step", "loss"), loss_rows, mirror_json)
-
-    norm_rows = []
-    for rec in report.grad_norms:
-        for layer in sorted(rec.norms):
-            q, k, v = rec.norms[layer]
-            norm_rows.append(
-                {"step": rec.step, "layer": layer, "q_norm": _fmt(q), "k_norm": _fmt(k), "v_norm": _fmt(v)}
-            )
-    files += write_rows(
-        directory, f"{prefix}grad_norms", ("step", "layer", "q_norm", "k_norm", "v_norm"), norm_rows, mirror_json
-    )
-
-    if report.heatmap is not None:
-        files += write_heatmap(directory, f"{prefix}fusion_weights", report.heatmap, mirror_json)
+    files += write_rows(directory, f"{prefix}grad_norms", report.grad_norms[0], report.grad_norms, mirror_json)
+    if report.fusion_weights is not None:
+        files += write_rows(directory, f"{prefix}fusion_weights", report.fusion_weights[0], report.fusion_weights, mirror_json)
     return files

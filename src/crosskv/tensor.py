@@ -441,7 +441,9 @@ def rmsnorm(x, gain) -> Tensor:
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise DimensionError(f"rmsnorm: gain {gain.shape} does not match last extent of {x.shape}")
     d = x.shape[-1]
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + RMSNORM_EPS)
+    mean_square = (x.data * x.data).mean(axis=-1, keepdims=True)
+    _check_finite(mean_square, "rmsnorm")  # an overflowed mean square would zero the output silently
+    inv = 1.0 / np.sqrt(mean_square + RMSNORM_EPS)
     normed = x.data * inv
     out = normed * gain.data
     x_data, gain_data = x.data, gain.data

@@ -3,7 +3,10 @@
 Tasks produce (tokens, transition mask) batches; the mask keeps the loss
 on positions the task actually makes predictable (e.g. the echoed half of
 a copy sequence). Updates are decoupled-weight-decay Adam with global-norm
-gradient clipping; everything is deterministic under a fixed seed.
+gradient clipping; everything is deterministic under a fixed seed. The
+learning rate and the copy task's prompt length are the only settings;
+the rest are the constants below. Reports hold the rows the CSV writers
+write.
 """
 
 from __future__ import annotations
@@ -11,66 +14,50 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DecoderModel, HeatmapResult, fusion_weight_heatmap
+from .model import DecoderModel, fusion_weight_rows
 from .tensor import EvaluationError, Tape, Tensor
 
 __all__ = [
-    "OptimizerParams",
-    "GradNormRecord",
     "TrainReport",
     "TrainingDivergedError",
     "TASK_NAMES",
-    "check_task",
+    "check_training",
     "make_batch",
     "train",
 ]
 
 TASK_NAMES = ("copy", "induction-heads", "char-corpus")
 
+DEFAULT_LEARNING_RATE = 3e-3
+DEFAULT_PROMPT_LEN = 8  # copy task
+BETA1, BETA2, EPS = 0.9, 0.95, 1e-8  # Adam
+WEIGHT_DECAY = 0.01  # decoupled; applied to matrices only
+GRAD_CLIP = 1.0  # global gradient norm
+N_PAIRS = 8  # induction-heads pairs per sequence
+SEQ_LEN = 48  # char-corpus window
+
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss stops being finite; carries the failing step."""
+    """Raised when the loss or the gradients stop being finite; carries the failing step."""
 
     def __init__(self, step: int):
         super().__init__(f"training diverged at step {step}")
         self.step = step
 
 
-@dataclass(frozen=True)
-class OptimizerParams:
-    learning_rate: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    weight_decay: float = 0.01  # decoupled; applied to matrices only
-    grad_clip: float = 1.0  # global norm; <= 0 disables
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning rate must be finite and positive, got {self.learning_rate!r}")
-
-
-@dataclass
-class GradNormRecord:
-    step: int
-    # layer -> (|grad w_q|, |grad w_k| or None, |grad w_v| or None);
-    # reconstruction layers have no K/V projections, hence None.
-    norms: dict
-
-
 @dataclass
 class TrainReport:
-    losses: list
-    grad_norms: list
-    heatmap: HeatmapResult | None
-    final_loss: float = field(init=False)
+    losses: list  # one per step
+    grad_norms: list  # rows: step, layer, q_norm, k_norm, v_norm
+    fusion_weights: list | None  # `fusion_weight_rows` after the last step; None without fusion weights
 
-    def __post_init__(self):
-        self.final_loss = self.losses[-1] if self.losses else float("nan")
+    @property
+    def final_loss(self) -> float:
+        return self.losses[-1]
 
 
 # -- synthetic tasks -------------------------------------------------------
@@ -89,17 +76,17 @@ def _copy_batch(rng, vocab: int, batch: int, prompt_len: int):
     return tokens, mask
 
 
-def _induction_batch(rng, vocab: int, batch: int, n_pairs: int):
+def _induction_batch(rng, vocab: int, batch: int):
     """[a1 b1 ... ak bk aq] -> bq; loss on the final prediction only."""
-    seqs = np.empty((batch, 2 * n_pairs + 2), dtype=np.int64)
+    seqs = np.empty((batch, 2 * N_PAIRS + 2), dtype=np.int64)
     for row in range(batch):
-        heads = rng.permutation(vocab)[:n_pairs]  # distinct triggers
-        tails = rng.integers(0, vocab, size=n_pairs)
-        q = int(rng.integers(0, n_pairs))
-        seqs[row, 0 : 2 * n_pairs : 2] = heads
-        seqs[row, 1 : 2 * n_pairs : 2] = tails
-        seqs[row, 2 * n_pairs] = heads[q]
-        seqs[row, 2 * n_pairs + 1] = tails[q]
+        heads = rng.permutation(vocab)[:N_PAIRS]  # distinct triggers
+        tails = rng.integers(0, vocab, size=N_PAIRS)
+        q = int(rng.integers(0, N_PAIRS))
+        seqs[row, 0 : 2 * N_PAIRS : 2] = heads
+        seqs[row, 1 : 2 * N_PAIRS : 2] = tails
+        seqs[row, 2 * N_PAIRS] = heads[q]
+        seqs[row, 2 * N_PAIRS + 1] = tails[q]
     mask = np.zeros((batch, seqs.shape[1] - 1), dtype=bool)
     mask[:, -1] = True
     return seqs, mask
@@ -118,139 +105,141 @@ def _load_corpus_ids() -> tuple[np.ndarray, int]:
     return ids, len(charset)
 
 
-def _corpus_batch(rng, batch: int, seq_len: int):
+def _corpus_batch(rng, batch: int):
     ids, _ = _load_corpus_ids()
-    starts = rng.integers(0, ids.size - seq_len, size=batch)
-    tokens = np.stack([ids[s : s + seq_len] for s in starts])
-    mask = np.ones((batch, seq_len - 1), dtype=bool)
+    starts = rng.integers(0, ids.size - SEQ_LEN, size=batch)
+    tokens = np.stack([ids[s : s + SEQ_LEN] for s in starts])
+    mask = np.ones((batch, SEQ_LEN - 1), dtype=bool)
     return tokens, mask
 
 
-def check_task(task: str, vocab: int, options: dict | None = None, max_seq_len: int | None = None) -> None:
-    """Raise ValueError unless `task` can draw batches for a `vocab`-token model with these options,
-    and, given `max_seq_len`, batches of sequences no longer than that. Draws nothing."""
-    opts = options or {}
+def check_training(
+    task: str,
+    vocab: int,
+    max_seq_len: int | None = None,
+    prompt_len: int = DEFAULT_PROMPT_LEN,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
+) -> None:
+    """Raise ValueError unless `task` can draw batches for a `vocab`-token model, of sequences
+    no longer than `max_seq_len` when given, and the learning rate is finite and positive.
+    Draws nothing."""
     if task == "char-corpus":
-        ids, need = _load_corpus_ids()
-        length = opts.get("seq_len", 48)
-        if length >= ids.size:
-            raise ValueError(f"corpus has only {ids.size} characters")
+        need, length = _load_corpus_ids()[1], SEQ_LEN
     elif task == "copy":
-        need, length = 3, 2 * opts.get("prompt_len", 8) + 1
+        need, length = 3, 2 * prompt_len + 1
     elif task == "induction-heads":
-        n_pairs = opts.get("n_pairs", 8)
-        need, length = n_pairs + 1, 2 * n_pairs + 2
+        need, length = N_PAIRS + 1, 2 * N_PAIRS + 2
     else:
         raise ValueError(f"unknown task {task!r}; known: {', '.join(TASK_NAMES)}")
     if vocab < need:
         raise ValueError(f"{task} task needs vocab >= {need}, got {vocab}")
     if max_seq_len is not None and length > max_seq_len:
         raise ValueError(f"{task} task needs max sequence >= {length}, got {max_seq_len}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be finite and positive, got {learning_rate!r}")
 
 
-def make_batch(task: str, rng, vocab: int, batch_size: int, options: dict | None = None):
+def make_batch(task: str, rng, vocab: int, batch_size: int, prompt_len: int = DEFAULT_PROMPT_LEN):
     """One (tokens, transition-mask) batch for a named task."""
-    check_task(task, vocab, options)
-    opts = options or {}
+    check_training(task, vocab, prompt_len=prompt_len)
     if task == "copy":
-        return _copy_batch(rng, vocab, batch_size, opts.get("prompt_len", 8))
+        return _copy_batch(rng, vocab, batch_size, prompt_len)
     if task == "induction-heads":
-        return _induction_batch(rng, vocab, batch_size, opts.get("n_pairs", 8))
-    return _corpus_batch(rng, batch_size, opts.get("seq_len", 48))
+        return _induction_batch(rng, vocab, batch_size)
+    return _corpus_batch(rng, batch_size)
 
 
 # -- optimizer and loop ----------------------------------------------------
-
-
-def _grad_norm_record(model: DecoderModel, grads: dict, step: int) -> GradNormRecord:
-    norms = {}
-    for i in range(1, model.cfg.n_layers + 1):
-        q = float(np.linalg.norm(grads[f"layer{i}.w_q"]))
-        if i in model.plan.rules:
-            norms[i] = (q, None, None)
-        else:
-            norms[i] = (
-                q,
-                float(np.linalg.norm(grads[f"layer{i}.w_k"])),
-                float(np.linalg.norm(grads[f"layer{i}.w_v"])),
-            )
-    return GradNormRecord(step, norms)
 
 
 def train(
     model: DecoderModel,
     task: str,
     steps: int,
-    opt: OptimizerParams | None = None,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     seed: int = 0,
     batch_size: int = 8,
     eval_interval: int = 25,
-    task_options: dict | None = None,
+    prompt_len: int = DEFAULT_PROMPT_LEN,
 ) -> TrainReport:
     """Run `steps` optimizer updates on a synthetic task.
 
     Records the loss each step and Q/K/V projection gradient norms every
-    `eval_interval` steps (and on the last step). A non-finite forward or
-    update raises `TrainingDivergedError` naming the step. The task is checked
-    against the model's vocab and max sequence length before step 0.
+    `eval_interval` steps (and on the last step). A non-finite forward,
+    gradient norm or update raises `TrainingDivergedError` naming the step.
+    `check_training` checks the settings against the model's vocab and max
+    sequence length before step 0.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if eval_interval < 1:
         raise ValueError(f"eval_interval must be >= 1, got {eval_interval}")
-    check_task(task, model.cfg.vocab_size, task_options, model.cfg.max_seq_len)
-    opt = opt or OptimizerParams()
+    check_training(task, model.cfg.vocab_size, model.cfg.max_seq_len, prompt_len, learning_rate)
     rng = np.random.default_rng(seed)
-
-    m_state: dict[str, np.ndarray] = {}
-    v_state: dict[str, np.ndarray] = {}
+    moments: dict[str, tuple] = {}  # parameter name -> Adam's (m, v)
     losses: list[float] = []
-    records: list[GradNormRecord] = []
+    norm_rows: list[dict] = []
 
     for step in range(steps):
+        tokens, mask = make_batch(task, rng, model.cfg.vocab_size, batch_size, prompt_len)
         try:
-            grads = _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, v_state, losses)
+            loss, grads = _clipped_gradients(model, tokens, mask)
+            losses.append(loss)
+            _adam_update(model, grads, moments, step + 1, learning_rate)
         except EvaluationError:
             raise TrainingDivergedError(step) from None
         if step % eval_interval == 0 or step == steps - 1:
-            records.append(_grad_norm_record(model, grads, step))
+            norm_rows.extend(_grad_norm_rows(model, grads, step))
 
-    heatmap = fusion_weight_heatmap(model) if model.plan.has_fusion_weights else None
-    return TrainReport(losses, records, heatmap)
+    fusion = fusion_weight_rows(model) if model.plan.has_fusion_weights else None
+    return TrainReport(losses, norm_rows, fusion)
 
 
-def _train_step(model, task, rng, batch_size, task_options, opt, step, m_state, v_state, losses) -> dict:
-    """One batch, one backward pass, one optimizer update; returns the
-    (possibly clipped) gradients for instrumentation."""
-    tokens, mask = make_batch(task, rng, model.cfg.vocab_size, batch_size, task_options)
-    with Tape() as tape:
+def _clipped_gradients(model: DecoderModel, tokens, mask) -> tuple[float, dict]:
+    """The batch's loss, and its gradients scaled to a global norm of at
+    most GRAD_CLIP. numpy's overflow warnings are off: a non-finite op
+    result or global norm raises EvaluationError instead."""
+    with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
         names = model.parameters()
         for _, p in names:
             tape.watch(p)
         loss = model.forward_loss(tokens, mask)
-        loss_val = loss.item()
         tape.backward(loss)
         grads = {name: tape.grad(p) for name, p in names}
-    losses.append(loss_val)
-
-    if opt.grad_clip > 0:
         total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total > opt.grad_clip:
-            ratio = opt.grad_clip / total
-            grads = {k: g * ratio for k, g in grads.items()}
+    if not math.isfinite(total):
+        raise EvaluationError("gradients: global norm is not finite")
+    if total > GRAD_CLIP:
+        ratio = GRAD_CLIP / total
+        grads = {k: g * ratio for k, g in grads.items()}
+    return loss.item(), grads
 
-    lr = opt.learning_rate
-    t = step + 1
+
+def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: float) -> None:
+    """Update every parameter in place with Adam step number `t` (from 1)."""
     dt = model.cfg.dtype
-    for name, p in names:
+    for name, p in model.parameters():
         g = grads[name].astype(np.float64)
-        m = opt.beta1 * m_state.get(name, 0.0) + (1 - opt.beta1) * g
-        v = opt.beta2 * v_state.get(name, 0.0) + (1 - opt.beta2) * (g * g)
-        m_state[name], v_state[name] = m, v
-        m_hat = m / (1 - opt.beta1**t)
-        v_hat = v / (1 - opt.beta2**t)
-        new = p.numpy().astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-        if opt.weight_decay > 0 and p.ndim >= 2:
-            new -= lr * opt.weight_decay * p.numpy().astype(np.float64)
+        m_prev, v_prev = moments.get(name, (0.0, 0.0))
+        m = BETA1 * m_prev + (1 - BETA1) * g
+        v = BETA2 * v_prev + (1 - BETA2) * (g * g)
+        moments[name] = m, v
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        new = p.numpy().astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        if p.ndim >= 2:
+            new -= lr * WEIGHT_DECAY * p.numpy().astype(np.float64)
         model.params[name] = Tensor(new.astype(dt))
-    return grads
+
+
+def _grad_norm_rows(model: DecoderModel, grads: dict, step: int) -> list[dict]:
+    """One row per layer of its Q/K/V projection gradient norms; a
+    reconstruction layer has no K/V projections, hence ''."""
+
+    def norm(name: str) -> str:
+        return repr(float(np.linalg.norm(grads[name]))) if name in grads else ""
+
+    return [
+        {"step": step, "layer": i, **{f"{x}_norm": norm(f"layer{i}.w_{x}") for x in "qkv"}}
+        for i in range(1, model.cfg.n_layers + 1)
+    ]

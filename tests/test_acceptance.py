@@ -68,7 +68,7 @@ def test_criterion_10_training_smoke():
             vocab_size=32, max_seq_len=32, strategy=strategy, d_ff=128,
         )
         model = build_model(cfg, seed=7)
-        return train(model, "copy", steps, seed=7, batch_size=8, task_options={"prompt_len": 6})
+        return train(model, "copy", steps, seed=7, batch_size=8, prompt_len=6)
 
     ratios = {}
     for strategy in ("Vanilla", "FusedKV-Lite"):

@@ -92,6 +92,36 @@ class TestAttend:
             attend(q, cache, cfg, np.arange(2))
 
 
+    def test_odd_head_dim_matches_loop_oracle(self):
+        # rotation needs an even head_dim; attention itself does not
+        rng = np.random.default_rng(21)
+        cfg = AttentionConfig(2, 1, 3)
+        cache = cache_of(rng, 1, 4, 3)
+        q = Tensor(rng.standard_normal((2, 4, 3)))
+        want = loop_attention(q.numpy(), cache.keys.numpy(), cache.values.numpy(), 2, np.arange(4), np.arange(4))
+        assert np.abs(attend(q, cache, cfg, np.arange(4)).numpy() - want).max() < 1e-12
+        assert np.abs(by_row(q, cache, cfg, np.arange(4)) - want).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "q_shape, q_pos, k_pos, error, message",
+        [
+            ((3, 2, 4), [0, 1], None, DimensionError, "do not match 2 heads"),
+            ((2, 2, 6), [0, 1], None, DimensionError, "head_dim 4"),
+            ((1, 2, 2, 4), [0, 1], None, DimensionError, "leading dims differ"),
+            ((2, 2, 4), [0, 1], [0, 1], DimensionError, "2 key positions for 3 cache rows"),
+            ((2, 2, 4), [-1, 0], None, ValueError, "nonnegative"),
+            ((2, 2, 4), [0, 1], [-1, 0, 1], ValueError, "nonnegative"),
+        ],
+        ids=["query-heads", "head-dim", "leading-dims", "key-position-count", "negative-query", "negative-key"],
+    )
+    def test_boundary_errors(self, q_shape, q_pos, k_pos, error, message):
+        rng = np.random.default_rng(22)
+        cache = cache_of(rng, 2, 3, 4)
+        q = Tensor(rng.standard_normal(q_shape))
+        with pytest.raises(error, match=message):
+            attend(q, cache, AttentionConfig(2, 2, 4), np.array(q_pos), None if k_pos is None else np.array(k_pos))
+
+
 def by_row(q, cache, cfg, q_pos, k_pos=None):
     """`attend` on one query row at a time, the kernel's folding path."""
     rows = [

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,9 @@ class TestTrainCommand:
         out = tmp_path / "out"
         args = ["train", "--seed", "1", "--learning-rate", "1e6", "--init-std", "0.5",
                 "--output-dir", str(out)] + TINY_MODEL
-        assert run(args) == EXIT_RUNTIME
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow is the named error, not a warning
+            assert run(args) == EXIT_RUNTIME
         assert "diverged at step" in capsys.readouterr().err
         assert not out.exists()
 
@@ -382,9 +385,10 @@ class TestNamedErrors:
             (["decode-bench", "--prompt-len", "0"], "--prompt-len"),
             (["decode-bench", "--strategies", ","], "--strategies"),
             (["decode-bench", "--new-tokens", "-1"], "--new-tokens"),
+            (["train", "--seed", "1", "--steps", "abc"], "--steps"),
         ],
         ids=["cost-S-not-int", "cost-S-zero", "train-steps", "train-eval-interval", "compare-batch-size",
-             "decode-prompt-len", "decode-no-strategies", "decode-new-tokens"],
+             "decode-prompt-len", "decode-no-strategies", "decode-new-tokens", "train-steps-not-int"],
     )
     def test_exits_one_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,15 +433,34 @@ class TestNamedErrors:
             # the copy task fits in 18 tokens; each summary row's decode needs min(16, vocab) + 8 = 20
             (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--steps", "1", "--batch-size", "1",
               "--prompt-len", "4", "--max-seq", "18"], "--max-seq 18"),
+            (["decode-bench", "--prompt-len", "30", "--new-tokens", "16"], "prompt 30 + new tokens 16 exceeds max sequence 32"),
         ],
         ids=["train-rope-base", "heatmap-rope-base", "decode-rope-base", "train-rope-base-inf", "train-init-std-nan",
              "train-init-std-inf", "train-corpus-vocab", "compare-induction-vocab", "train-lr-nan",
              "train-lr-negative", "train-copy-too-long", "compare-corpus-too-long",
-             "compare-summary-decode-too-long"],
+             "compare-summary-decode-too-long", "decode-past-max-seq"],
     )
     def test_bad_model_or_training_input_exits_one_before_artifacts(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(argv[:1] + TINY_MODEL + argv[1:] + ["--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--query-heads", "2", "--kv-heads", "4"], "query heads must be >= kv heads"),
+            (["train", "--seed", "1", "--config", "{dir}/missing.cfg"], "cannot read config file"),
+            (["train", "--seed", "1", "--config", "{dir}/no_equals.cfg"], "no_equals.cfg:2: expected key=value"),
+        ],
+        ids=["cost-more-kv-than-query-heads", "config-unreadable", "config-line-without-equals"],
+    )
+    def test_bad_config_file_or_cost_shape_exits_one_before_artifacts(self, argv, message, tmp_path, capsys):
+        (tmp_path / "no_equals.cfg").write_text("# model\nlayers 2\n")
+        out = tmp_path / "out"
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("crosskv: configuration error: ") and message in err
         assert not out.exists()

@@ -156,3 +156,8 @@ class TestDeviceProfiles:
     def test_canonical_method_aliases(self):
         assert canonical_method("lite") == "FusedKV-Lite"
         assert canonical_method("vanilla") == "MHA"
+
+    @pytest.mark.parametrize("name", ["CLA", "value1key2"])
+    def test_catalog_strategy_without_table1_row_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown method '{name}'"):
+            canonical_method(name)

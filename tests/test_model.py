@@ -7,7 +7,7 @@ import pytest
 import crosskv.model
 import crosskv.sharing
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
-from crosskv.model import ModelConfig, build_model, fusion_weight_heatmap
+from crosskv.model import ModelConfig, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
 from crosskv.tensor import DimensionError, Tape
 from crosskv.verify import _expected_parameter_count
@@ -354,26 +354,31 @@ class TestDecode:
 
 
 class TestHeatmap:
+    @staticmethod
+    def weights(rows, kind):
+        return {(row["target"], row["source"]): float(row["weight"]) for row in rows if row["kind"] == kind}
+
     def test_untrained_dense_fusion_matches_stored_weights(self):
         m = build_model(small_cfg("DenseFusion"), seed=8)
-        hm = fusion_weight_heatmap(m)
-        assert hm.key_matrix.shape == (2, 2)  # two targets, sources {1, 2}
-        for ti, i in enumerate(hm.targets):
-            for si, j in enumerate(hm.key_sources):
-                assert hm.key_matrix[ti, si] == m.params[f"fusion.key.{i}.{j}"].item()
-                assert hm.value_matrix[ti, si] == m.params[f"fusion.value.{i}.{j}"].item()
+        rows = fusion_weight_rows(m)
+        assert len(rows) == 8  # two targets x sources {1, 2}, keys and values
+        for kind in ("key", "value"):
+            weights = self.weights(rows, kind)
+            assert {j for _, j in weights} == {1, 2}
+            for (i, j), w in weights.items():
+                assert w == m.params[f"fusion.{kind}.{i}.{j}"].item()
 
     def test_vector_strategy_reports_mean_abs(self):
         m = build_model(small_cfg("FusedKV"), seed=9)
-        hm = fusion_weight_heatmap(m)
+        rows = fusion_weight_rows(m)
         want = np.abs(np.repeat(m.params["fusion.key.3.1"].numpy(), 2)).mean()
-        assert hm.key_matrix[0, 0] == pytest.approx(want, abs=1e-15)
-        assert hm.key_matrix.shape == (len(m.plan.reconstruction_layers), 2)
+        assert self.weights(rows, "key")[3, 1] == pytest.approx(want, abs=1e-15)
+        assert len(self.weights(rows, "key")) == len(m.plan.reconstruction_layers) * 2
 
     def test_direct_strategy_rejected(self):
         m = build_model(small_cfg("YOCO"), seed=10)
         with pytest.raises(ValueError, match="no fusion weights"):
-            fusion_weight_heatmap(m)
+            fusion_weight_rows(m)
 
 
 class TestCheckpoint:
@@ -449,6 +454,15 @@ class TestCheckpoint:
         raw[4 + 8 + 2 + 1] = 7  # dtype byte after the header and the name "w"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="unknown dtype code 7"):
+            load_checkpoint(path)
+
+    def test_unknown_version_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.zeros(2)}, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")  # the header's version field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
     def test_scalar_weights_keep_their_shape(self, tmp_path):

@@ -43,6 +43,10 @@ class TestApplyRope:
         with pytest.raises(ValueError):
             apply_rope(Tensor(np.ones((1, 8))), np.array([-1]), SCHED)
 
+    def test_float_positions_rejected(self):
+        with pytest.raises(TypeError, match="positions must be integers"):
+            apply_rope(Tensor(np.ones((2, 8))), np.array([0.0, 1.0]), SCHED)
+
     def test_dimension_mismatchherto_rejected(self):
         with pytest.raises(DimensionError):
             apply_rope(Tensor(np.ones((1, 6))), np.array([0]), SCHED)

@@ -222,6 +222,12 @@ class TestRmsnorm:
         rms = np.sqrt((out**2).mean(axis=-1))
         np.testing.assert_allclose(rms, 1.0, atol=1e-6)
 
+    def test_overflowing_mean_square_is_named(self):
+        # the squares overflow, so the mean square is inf; unchecked, the output would be all zeros
+        x = Tensor(np.array([3e154, -4e154, 1.0, 2.0]))
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="rmsnorm"):
+            rmsnorm(x, Tensor(np.ones(4)))
+
     def test_gain_length_mismatch(self):
         with pytest.raises(DimensionError):
             rmsnorm(rand(3, 4), Tensor(np.ones(5)))

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import crosskv.training
 from crosskv.model import ModelConfig, build_model
 from crosskv.training import (
-    OptimizerParams,
     TrainingDivergedError,
+    check_training,
     make_batch,
     train,
 )
@@ -22,7 +24,7 @@ def tiny_cfg(strategy="Vanilla", **kw):
 
 class TestTasks:
     def test_copy_batch_structure(self):
-        tokens, mask = make_batch("copy", np.random.default_rng(0), 12, 4, {"prompt_len": 5})
+        tokens, mask = make_batch("copy", np.random.default_rng(0), 12, 4, prompt_len=5)
         assert tokens.shape == (4, 11)
         assert mask.shape == (4, 10)
         # separator, then the prompt echoed verbatim
@@ -31,128 +33,123 @@ class TestTasks:
         assert not mask[:, :5].any() and mask[:, 5:].all()
 
     def test_induction_batch_answers_first_occurrence(self):
-        tokens, mask = make_batch("induction-heads", np.random.default_rng(1), 12, 6, {"n_pairs": 4})
-        assert tokens.shape == (6, 10)
+        tokens, mask = make_batch("induction-heads", np.random.default_rng(1), 12, 6)
+        assert tokens.shape == (6, 18)  # eight pairs, the trigger and its answer
         for row in range(6):
-            trigger = tokens[row, 8]
-            heads = tokens[row, 0:8:2]
-            tails = tokens[row, 1:8:2]
-            assert tokens[row, 9] == tails[list(heads).index(trigger)]
+            trigger = tokens[row, 16]
+            heads = tokens[row, 0:16:2]
+            tails = tokens[row, 1:16:2]
+            assert tokens[row, 17] == tails[list(heads).index(trigger)]
         assert mask.sum() == 6  # only the final transition
 
     def test_corpus_batch_windows(self):
         vocab = 64
-        tokens, mask = make_batch("char-corpus", np.random.default_rng(2), vocab, 3, {"seq_len": 20})
-        assert tokens.shape == (3, 20)
+        tokens, mask = make_batch("char-corpus", np.random.default_rng(2), vocab, 3)
+        assert tokens.shape == (3, 48)
         assert tokens.max() < vocab
         assert mask.all()
 
     def test_corpus_needs_enough_vocab(self):
         with pytest.raises(ValueError, match=r"char-corpus task needs vocab >= \d+") as err:
-            make_batch("char-corpus", np.random.default_rng(3), 4, 2, None)
+            make_batch("char-corpus", np.random.default_rng(3), 4, 2)
         need = int(str(err.value).split(">= ")[1].split(",")[0])  # the corpus charset size
-        tokens, _ = make_batch("char-corpus", np.random.default_rng(3), need, 2, None)
+        tokens, _ = make_batch("char-corpus", np.random.default_rng(3), need, 2)
         assert tokens.max() < need
         with pytest.raises(ValueError, match="vocab"):
-            make_batch("char-corpus", np.random.default_rng(3), need - 1, 2, None)
+            make_batch("char-corpus", np.random.default_rng(3), need - 1, 2)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="unknown task"):
-            make_batch("sort", np.random.default_rng(4), 12, 2, None)
+            make_batch("sort", np.random.default_rng(4), 12, 2)
 
 
 class TestOptimizerParams:
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(ValueError, match="learning rate"):
-            OptimizerParams(learning_rate=rate)
+            check_training("copy", 12, learning_rate=rate)
 
 
 class TestTrainLoop:
     @pytest.mark.parametrize(
         "task, options",
-        [("char-corpus", None), ("induction-heads", {"n_pairs": 12}), ("copy", None)],
+        [("char-corpus", None), ("induction-heads", {"vocab_size": 8}), ("copy", None)],
     )
     def test_task_vocab_checked_before_any_batch(self, task, options, monkeypatch):
         drawn = []
         monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
-        vocab = 2 if task == "copy" else 12
-        m = build_model(tiny_cfg(vocab_size=vocab), seed=0)
+        # induction-heads' 8 pairs need 9 distinct tokens
+        m = build_model(tiny_cfg(**{"vocab_size": 2 if task == "copy" else 12, **(options or {})}), seed=0)
         with pytest.raises(ValueError, match=f"{task} task needs vocab"):
-            train(m, task, 2, seed=1, batch_size=2, task_options=options)
+            train(m, task, 2, seed=1, batch_size=2)
         assert drawn == []
 
     @pytest.mark.parametrize(
         "task, options, length",
-        [("copy", {"prompt_len": 16}, 33), ("induction-heads", {"n_pairs": 16}, 34), ("char-corpus", None, 48)],
+        [("copy", {"prompt_len": 16}, 33), ("induction-heads", {"max_seq_len": 16}, 18), ("char-corpus", None, 48)],
     )
     def test_sequence_length_checked_before_any_batch(self, task, options, length, monkeypatch):
         drawn = []
         monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
-        m = build_model(tiny_cfg(vocab_size=64), seed=0)  # max_seq_len 32
-        with pytest.raises(ValueError, match=f"{task} task needs max sequence >= {length}, got 32"):
-            train(m, task, 2, seed=1, batch_size=2, task_options=options)
+        options = {"prompt_len": 8, "max_seq_len": 32, **(options or {})}
+        m = build_model(tiny_cfg(vocab_size=64, max_seq_len=options["max_seq_len"]), seed=0)
+        want = f"{task} task needs max sequence >= {length}, got {options['max_seq_len']}"
+        with pytest.raises(ValueError, match=want):
+            train(m, task, 2, seed=1, batch_size=2, prompt_len=options["prompt_len"])
         assert drawn == []
 
     def test_eval_interval_checked_before_any_batch(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="eval_interval"):
-            train(build_model(tiny_cfg(), seed=0), "copy", 2, eval_interval=0, task_options={"prompt_len": 4})
+            train(build_model(tiny_cfg(), seed=0), "copy", 2, eval_interval=0, prompt_len=4)
         assert drawn == []
 
     def test_fixed_seed_reproduces_loss_curve(self):
-        r1 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2,
-                   task_options={"prompt_len": 4})
-        r2 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2,
-                   task_options={"prompt_len": 4})
+        r1 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2, prompt_len=4)
+        r2 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2, prompt_len=4)
         assert r1.losses == r2.losses  # bit-identical, not just close
 
     def test_loss_decreases_on_copy(self):
-        report = train(build_model(tiny_cfg(), seed=0), "copy", 60, seed=1, batch_size=4,
-                       task_options={"prompt_len": 4})
+        report = train(build_model(tiny_cfg(), seed=0), "copy", 60, seed=1, batch_size=4, prompt_len=4)
         assert report.losses[-1] < report.losses[0]
         assert all(np.isfinite(report.losses))
 
     def test_divergence_aborts_with_step_index(self):
         m = build_model(tiny_cfg(init_std=0.5), seed=2)
-        opt = OptimizerParams(learning_rate=1e6, grad_clip=0.0)
-        with pytest.raises(TrainingDivergedError) as exc:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train(m, "copy", 50, opt=opt, seed=3, batch_size=2, task_options={"prompt_len": 4})
-        assert exc.value.step >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # an overflow is the named error, not a warning
+            with pytest.raises(TrainingDivergedError) as exc:
+                train(m, "copy", 50, learning_rate=1e6, seed=3, batch_size=2, prompt_len=4)
+        assert 1 <= exc.value.step <= 12  # the finite-gradient check stops it early
 
     def test_grad_norm_records_skip_reconstruction_kv(self):
         m = build_model(tiny_cfg("CLA"), seed=4)
-        report = train(m, "copy", 6, seed=5, batch_size=2, eval_interval=3,
-                       task_options={"prompt_len": 4})
-        rec = report.grad_norms[0]
-        q1, k1, v1 = rec.norms[1]
-        q2, k2, v2 = rec.norms[2]
-        assert q1 >= 0 and k1 >= 0 and v1 >= 0
-        assert k2 is None and v2 is None  # layer 2 reuses layer 1's cache
-        steps = [r.step for r in report.grad_norms]
-        assert steps == [0, 3, 5]
+        report = train(m, "copy", 6, seed=5, batch_size=2, eval_interval=3, prompt_len=4)
+        layer1, layer2 = report.grad_norms[:2]
+        assert (layer1["step"], layer1["layer"], layer2["layer"]) == (0, 1, 2)
+        assert all(float(layer1[f"{x}_norm"]) >= 0 for x in "qkv") and float(layer2["q_norm"]) >= 0
+        assert layer2["k_norm"] == layer2["v_norm"] == ""  # layer 2 reuses layer 1's cache
+        steps = [row["step"] for row in report.grad_norms]
+        assert steps == [0, 0, 3, 3, 5, 5]
 
     def test_heatmap_snapshot_for_fusion_strategies(self):
         m = build_model(tiny_cfg("Lite-Learnable"), seed=6)
-        report = train(m, "copy", 4, seed=7, batch_size=2, task_options={"prompt_len": 4})
-        assert report.heatmap is not None
-        assert report.heatmap.key_sources == (1,)
-        report2 = train(build_model(tiny_cfg(), seed=6), "copy", 4, seed=7, batch_size=2,
-                        task_options={"prompt_len": 4})
-        assert report2.heatmap is None
+        report = train(m, "copy", 4, seed=7, batch_size=2, prompt_len=4)
+        assert {row["source"] for row in report.fusion_weights if row["kind"] == "key"} == {1}
+        report2 = train(build_model(tiny_cfg(), seed=6), "copy", 4, seed=7, batch_size=2, prompt_len=4)
+        assert report2.fusion_weights is None
 
     def test_single_precision_training_runs(self):
         m = build_model(tiny_cfg(precision="single"), seed=8)
-        report = train(m, "copy", 8, seed=9, batch_size=2, task_options={"prompt_len": 4})
+        report = train(m, "copy", 8, seed=9, batch_size=2, prompt_len=4)
         assert all(np.isfinite(report.losses))
         assert next(iter(m.params.values())).dtype == np.float32
 
     def test_fusion_weights_update(self):
         m = build_model(tiny_cfg("Lite-Learnable"), seed=10)
         before = m.params["fusion.key.2.1"]
-        train(m, "copy", 10, seed=11, batch_size=2, task_options={"prompt_len": 4})
+        train(m, "copy", 10, seed=11, batch_size=2, prompt_len=4)
         after = m.params["fusion.key.2.1"]
         assert not np.array_equal(before.numpy(), after.numpy())
         assert after.shape == before.shape == (m.cfg.head_dim // 2,)  # still the free values: symmetric by construction
