@@ -6,7 +6,7 @@ methods need: rotation-compatible weighted fusion, a strategy catalog,
 incremental decoding with cache accounting, and an analytic cost model.
 """
 
-from .attention import AttentionConfig, attend
+from .attention import attend
 from .costmodel import (
     CostBreakdown,
     DeviceProfile,

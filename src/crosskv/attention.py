@@ -1,7 +1,9 @@
 """Causal grouped-query attention over weighted cache terms.
 
-Queries and cached keys arrive already rotated; masking is by absolute
-token position, so shifting every position by the same offset changes
+`attend(q, cache)` takes every size from its operands. The cache's rows
+sit at positions 0..s_k-1 and the queries are its last s_q rows, as in
+every model pass. Queries and keys arrive already rotated, and the mask
+depends only on s_k - s_q, so rotating both at shifted positions changes
 nothing. Query head h reads kv head h // (H_q / H_kv); with H_kv == H_q
 this is plain multi-head attention.
 
@@ -25,7 +27,6 @@ materialize-then-attend to 1e-12 (tests and `verify`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,68 +37,29 @@ from .tensor import DimensionError, Tensor, _unbroadcast, masked_softmax, record
 # wraps these names in this module by attribute, so they stay bound.
 from .tensor import matmul, matmul_t, repeat  # noqa: F401
 
-__all__ = ["AttentionConfig", "attend"]
+__all__ = ["attend"]
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    n_query_heads: int
-    n_kv_heads: int
-    head_dim: int
-
-    def __post_init__(self):
-        if self.n_query_heads % self.n_kv_heads != 0:
-            raise DimensionError(
-                f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads"
-            )
-
-    @property
-    def group_size(self) -> int:
-        return self.n_query_heads // self.n_kv_heads
-
-
-def _causal_mask(q_positions: np.ndarray, k_positions: np.ndarray) -> np.ndarray:
-    return k_positions[None, :] <= q_positions[:, None]
-
-
-def _check_terms(cache, cfg: AttentionConfig) -> tuple[int, ...]:
-    """Every term has the same [..., H_kv, s_k, D] shape; weights are scalars or [D]."""
-    terms = tuple(cache.key_terms) + tuple(cache.value_terms)
+def _check_terms(q: Tensor, cache) -> tuple[int, ...]:
+    """q: [..., H_q, s_q, D]; every term: [..., H_kv, s_k, D]; weights: scalars or [D]."""
     if not cache.key_terms or not cache.value_terms:
         raise DimensionError("attention needs at least one key term and one value term")
+    terms = tuple(cache.key_terms) + tuple(cache.value_terms)
     shape = terms[0][0].shape
-    if len(shape) < 3 or shape[-3] != cfg.n_kv_heads or shape[-1] != cfg.head_dim:
-        raise DimensionError(
-            f"cache {shape} does not match {cfg.n_kv_heads} kv heads x head_dim {cfg.head_dim}"
-        )
+    if len(shape) < 3 or q.ndim != len(shape):
+        raise DimensionError(f"queries {q.shape} and cache {shape} are not both [..., H, s, D]")
+    if q.shape[:-3] != shape[:-3] or q.shape[-1] != shape[-1]:
+        raise DimensionError(f"leading dims or head_dim differ: queries {q.shape} vs cache {shape}")
+    if q.shape[-3] % shape[-3] != 0:
+        raise DimensionError(f"{q.shape[-3]} query heads not divisible by {shape[-3]} kv heads")
+    if q.shape[-2] > shape[-2]:
+        raise DimensionError(f"{q.shape[-2]} query rows but only {shape[-2]} cache rows")
     for tensor, weight in terms:
         if tensor.shape != shape:
             raise DimensionError(f"cache terms differ in shape: {tensor.shape} vs {shape}")
-        if weight is not None and weight.shape not in ((), (cfg.head_dim,)):
-            raise DimensionError(f"weight {weight.shape} is neither a scalar nor [{cfg.head_dim}]")
+        if weight is not None and weight.shape not in ((), (shape[-1],)):
+            raise DimensionError(f"weight {weight.shape} is neither a scalar nor [{shape[-1]}]")
     return shape
-
-
-def _check_positions(q: Tensor, shape, cfg: AttentionConfig, q_positions, k_positions):
-    if q.ndim < 3 or q.shape[-3] != cfg.n_query_heads or q.shape[-1] != cfg.head_dim:
-        raise DimensionError(
-            f"queries {q.shape} do not match {cfg.n_query_heads} heads x head_dim {cfg.head_dim}"
-        )
-    if q.shape[:-3] != shape[:-3]:
-        raise DimensionError(f"leading dims differ: queries {q.shape} vs cache {shape}")
-    q_positions = np.asarray(q_positions)
-    if q_positions.shape != (q.shape[-2],):
-        raise DimensionError(f"{q_positions.size} query positions for {q.shape[-2]} query rows")
-    s_k = shape[-2]
-    if k_positions is None:
-        k_positions = np.arange(s_k)
-    else:
-        k_positions = np.asarray(k_positions)
-        if k_positions.shape != (s_k,):
-            raise DimensionError(f"{k_positions.size} key positions for {s_k} cache rows")
-    if q_positions.min() < 0 or k_positions.min() < 0:
-        raise ValueError("positions must be nonnegative")
-    return q_positions, k_positions
 
 
 def _parents(first: Tensor, terms) -> tuple[Tensor, ...]:
@@ -159,28 +121,22 @@ def _folded_values(probs: Tensor, value_terms, q_shape) -> Tensor:
     return record_op("folded_values", out.reshape(q_shape), _parents(probs, value_terms), backward)
 
 
-def attend(
-    q: Tensor,
-    cache: LayerCache | FoldedCache,
-    cfg: AttentionConfig,
-    q_positions,
-    k_positions=None,
-) -> Tensor:
+def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
     """Causal attention of rotated queries against one layer's cache terms.
 
-    q: [..., H_q, s_q, D]; every term tensor: [..., H_kv, s_k, D]. Scores
-    Σ_j (w_j ⊙ q)·K_jᵀ are scaled by 1/sqrt(D); each query row attends to
-    cache rows at positions <= its own; the output is Σ_j (P·V_j) ⊙ b_j.
-    A `LayerCache` is one unweighted term of keys and one of values. With
-    more than one query row, each side's terms are summed first.
-    Returns [..., H_q, s_q, D].
+    q: [..., H_q, s_q, D]; every term tensor: [..., H_kv, s_k, D], H_kv
+    dividing H_q and s_q <= s_k. The queries are the cache's last rows, so
+    query row t attends to cache rows 0..s_k-s_q+t. Scores Σ_j (w_j ⊙ q)·K_jᵀ
+    are scaled by 1/sqrt(D); the output is Σ_j (P·V_j) ⊙ b_j. A `LayerCache`
+    is one unweighted term of keys and one of values. With more than one
+    query row, each side's terms are summed first. Returns [..., H_q, s_q, D].
     """
-    shape = _check_terms(cache, cfg)
-    q_positions, k_positions = _check_positions(q, shape, cfg, q_positions, k_positions)
+    h_kv, s_k, depth = _check_terms(q, cache)[-3:]
+    h_q, s_q = q.shape[-3:-1]
     key_terms, value_terms = cache.key_terms, cache.value_terms
-    if q.shape[-2] > 1:
+    if s_q > 1:
         key_terms, value_terms = ((_sum_terms(key_terms), None),), ((_sum_terms(value_terms), None),)
-    scores = _folded_scores(q, key_terms, cfg.n_kv_heads)
-    mask = np.tile(_causal_mask(q_positions, k_positions), (cfg.group_size, 1))
-    probs = masked_softmax(scores, mask, 1.0 / math.sqrt(cfg.head_dim))
+    scores = _folded_scores(q, key_terms, h_kv)
+    mask = np.tile(np.tri(s_q, s_k, s_k - s_q, dtype=bool), (h_q // h_kv, 1))
+    probs = masked_softmax(scores, mask, 1.0 / math.sqrt(depth))
     return _folded_values(probs, value_terms, q.shape)

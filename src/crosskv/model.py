@@ -17,7 +17,8 @@ the first append copies the first chunk's rows in. A reconstruction
 layer hands the attention kernel its sources' stored caches and fusion
 weights (`folded_cache`); the kernel folds them for a one-row step and
 sums them for a longer pass or chunk, so `sharing.reconstruct` stays an
-oracle for the tests. Training records on the gradient tape; decode runs
+oracle for the tests. The queries handed to `attend(q, cache)` are the
+cache's last rows. Training records on the gradient tape; decode runs
 tape-free.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, attend
+from .attention import attend
 from .rope import RopeSchedule, apply_rope
 from .sharing import (
     DIRECT,
@@ -84,7 +85,7 @@ class ModelConfig:
 
     def __post_init__(self):
         sizes = ("n_layers", "d_model", "n_query_heads", "n_kv_heads", "vocab_size", "max_seq_len")
-        for name in sizes + (("d_ff",) if self.d_ff is not None else ()):
+        for name in sizes + tuple(n for n in ("d_ff", "middle") if getattr(self, n) is not None):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -93,8 +94,9 @@ class ModelConfig:
         RopeSchedule(self.head_dim, self.rope_base)  # the schedule DecoderModel builds; needs even head_dim
         if not np.isfinite(self.init_std):
             raise ValueError(f"init_std must be finite, got {self.init_std!r}")
-        AttentionConfig(self.n_query_heads, self.n_kv_heads, self.head_dim)  # the config DecoderModel builds
-        if self.middle is not None and not 1 <= self.middle < self.n_layers:
+        if self.n_query_heads % self.n_kv_heads != 0:
+            raise DimensionError(f"{self.n_query_heads} query heads not divisible by {self.n_kv_heads} kv heads")
+        if self.middle is not None and self.middle >= self.n_layers:
             raise ValueError(f"middle {self.middle} out of range [1, {self.n_layers - 1}]")
         plan = plan_for_strategy(self.strategy, self.n_layers, self.middle)  # the plan build_model uses
         if self.init_scheme not in ("normal", "equivalent"):
@@ -151,7 +153,6 @@ class DecoderModel:
         self.plan = plan
         self.params = params  # every parameter, fusion weights (`sharing.init_normal`) included
         self.sched = RopeSchedule(cfg.head_dim, cfg.rope_base)
-        self.attn_cfg = AttentionConfig(cfg.n_query_heads, cfg.n_kv_heads, cfg.head_dim)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -237,7 +238,7 @@ class DecoderModel:
         else:
             new = self._layer_cache(i, xn, positions)
             caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new
-        o = attend(q, cache, self.attn_cfg, positions)
+        o = attend(q, cache)
         x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
         return x + matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])

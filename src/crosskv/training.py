@@ -167,13 +167,13 @@ def train(
     Records the loss each step and Q/K/V projection gradient norms every
     `eval_interval` steps (and on the last step). A non-finite forward,
     gradient norm or update raises `TrainingDivergedError` naming the step.
-    `check_training` checks the settings against the model's vocab and max
-    sequence length before step 0.
+    Before step 0, every integer setting must be >= 1, and `check_training`
+    checks the task against the model's vocab and max sequence length.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if eval_interval < 1:
-        raise ValueError(f"eval_interval must be >= 1, got {eval_interval}")
+    settings = {"steps": steps, "batch_size": batch_size, "eval_interval": eval_interval, "prompt_len": prompt_len}
+    for name, value in settings.items():
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     check_training(task, model.cfg.vocab_size, model.cfg.max_seq_len, prompt_len, learning_rate)
     rng = np.random.default_rng(seed)
     moments: dict[str, tuple] = {}  # parameter name -> Adam's (m, v)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, attend
+from .attention import attend
 from .costmodel import (
     DEVICE_PRESETS, DeviceProfile, WorkloadSpec, fusion_decode_overhead_fraction, roofline_latency, table1_costs,
 )
@@ -364,11 +364,10 @@ def _sharing_checks() -> list[CheckResult]:
 def _attention_checks() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(41)
-    cfg = AttentionConfig(n_query_heads=4, n_kv_heads=2, head_dim=8)
 
     q = Tensor(rng.standard_normal((4, 6, 8)))
     cache = LayerCache(Tensor(rng.standard_normal((2, 6, 8))), Tensor(rng.standard_normal((2, 6, 8))), 1)
-    base = attend(q, cache, cfg, np.arange(6)).numpy()
+    base = attend(q, cache).numpy()
 
     # Causality: zero all K/V entries after position p; outputs at <= p identical.
     ok = True
@@ -377,45 +376,50 @@ def _attention_checks() -> list[CheckResult]:
         vz = cache.values.numpy().copy()
         kz[:, p + 1 :, :] = 0.0
         vz[:, p + 1 :, :] = 0.0
-        zeroed = attend(q, LayerCache(Tensor(kz), Tensor(vz), 1), cfg, np.arange(6)).numpy()
+        zeroed = attend(q, LayerCache(Tensor(kz), Tensor(vz), 1)).numpy()
         ok &= np.array_equal(zeroed[:, : p + 1, :], base[:, : p + 1, :])
     out.append(_result("attention", "future_tokens_cannot_affect_present", ok))
 
     # Two-path equivalence: the kernel on the weighted terms vs materialize-then-attend.
-    # Six query rows take the kernel's summing path; each row alone takes the fold.
+    # Six query rows take the kernel's summing path; each row alone takes the
+    # fold, on the first t+1 cache rows as a decode step sees them.
     plan = plan_for_strategy("FusedKV", 4, 2)
     stored = _random_caches(rng, (1, 2), shape=(2, 6, 8))
     weights = init_normal(plan, 8, rng)
     k, v = reconstruct(plan, weights, stored, 3)
     terms = folded_cache(plan, weights, stored, 3)
-    mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(6)).numpy()
-    fused = attend(q, terms, cfg, np.arange(6)).numpy()
-    rows = [attend(Tensor(q.numpy()[:, t : t + 1, :]), terms, cfg, [t]).numpy() for t in range(6)]
+    mat = attend(q, LayerCache(k, v, 3)).numpy()
+    fused = attend(q, terms).numpy()
+    rows = []
+    for t in range(6):
+        head = {j: LayerCache(Tensor(c.keys.numpy()[:, : t + 1]), Tensor(c.values.numpy()[:, : t + 1]), j)
+                for j, c in stored.items()}
+        rows.append(attend(Tensor(q.numpy()[:, t : t + 1, :]), folded_cache(plan, weights, head, 3)).numpy())
     dev = max(np.abs(mat - fused).max(), np.abs(mat - np.concatenate(rows, axis=1)).max())
     out.append(_result("attention", "fused_path_matches_materialized", dev <= 1e-12, f"max dev {dev:.2e}"))
 
-    # End-to-end shift invariance: rotate inputs at shifted positions, attend.
+    # End-to-end shift invariance: rotate inputs at shifted positions, then
+    # attend, which reads no positions.
     sched = RopeSchedule(8)
     raw_q = rng.standard_normal((4, 6, 8))
     raw_k = {j: rng.standard_normal((2, 6, 8)) for j in (1, 2)}
     raw_v = {j: rng.standard_normal((2, 6, 8)) for j in (1, 2)}
 
-    def fused_at(cfg: AttentionConfig, shift: int) -> np.ndarray:
+    def fused_at(n_query_heads: int, shift: int) -> np.ndarray:
         pos = np.arange(6) + shift
         srcs = {
             j: LayerCache(apply_rope(Tensor(raw_k[j]), pos, sched), Tensor(raw_v[j]), j) for j in (1, 2)
         }
-        qr = apply_rope(Tensor(raw_q[: cfg.n_query_heads]), pos, sched)
-        return attend(qr, folded_cache(plan, weights, srcs, 3), cfg, pos, pos).numpy()
+        qr = apply_rope(Tensor(raw_q[:n_query_heads]), pos, sched)
+        return attend(qr, folded_cache(plan, weights, srcs, 3)).numpy()
 
     # Grouped (4 query heads over 2) at shift 7, plain H_q = H_kv = 2 at shift 11.
-    dev = max(np.abs(fused_at(c, 0) - fused_at(c, s)).max() for c, s in ((cfg, 7), (AttentionConfig(2, 2, 8), 11)))
+    dev = max(np.abs(fused_at(h, 0) - fused_at(h, s)).max() for h, s in ((4, 7), (2, 11)))
     out.append(_result("attention", "outputs_shift_invariant", dev <= 1e-10, f"max dev {dev:.2e}"))
 
     # H_kv == H_q reproduces plain multi-head attention.
-    cfg_mha = AttentionConfig(4, 4, 8)
     cache4 = LayerCache(Tensor(rng.standard_normal((4, 5, 8))), Tensor(rng.standard_normal((4, 5, 8))), 1)
-    got = attend(Tensor(raw_q[:, :5, :]), cache4, cfg_mha, np.arange(5)).numpy()
+    got = attend(Tensor(raw_q[:, :5, :]), cache4).numpy()
     # oracle: naive per-head, per-query loops
     want = np.zeros_like(got)
     for h in range(4):

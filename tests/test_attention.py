@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crosskv.attention import AttentionConfig, attend
+from crosskv.attention import attend
 from crosskv.rope import RopeSchedule, apply_rope
 from crosskv.sharing import FoldedCache, LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
 from crosskv.tensor import DimensionError, Tensor, grad_check
@@ -36,96 +36,91 @@ def loop_attention(q, keys, values, group, q_pos, k_pos):
 class TestAttend:
     def test_single_token_returns_value_row(self):
         rng = np.random.default_rng(0)
-        cfg = AttentionConfig(3, 3, 4)
         cache = cache_of(rng, 3, 1, 4)
         q = Tensor(rng.standard_normal((3, 1, 4)))
-        out = attend(q, cache, cfg, np.array([0]))
+        out = attend(q, cache)
         np.testing.assert_allclose(out.numpy(), cache.values.numpy(), atol=1e-15)
 
     def test_two_query_heads_share_one_kv_head(self):
         rng = np.random.default_rng(1)
-        cfg = AttentionConfig(2, 1, 4)
         cache = cache_of(rng, 1, 3, 4)
         q_shared = rng.standard_normal((1, 3, 4))
         q = Tensor(np.concatenate([q_shared, q_shared], axis=0))
-        out = attend(q, cache, cfg, np.arange(3)).numpy()
+        out = attend(q, cache).numpy()
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
-        cfg = AttentionConfig(4, 2, 8)
         cache = cache_of(rng, 2, 2, 8)
         q = Tensor(rng.standard_normal((4, 2, 8)))
-        got = attend(q, cache, cfg, np.arange(2)).numpy()
+        got = attend(q, cache).numpy()
         want = loop_attention(q.numpy(), cache.keys.numpy(), cache.values.numpy(), 2, np.arange(2), np.arange(2))
         assert np.abs(got - want).max() < 1e-12
 
     def test_causality_by_absolute_position(self):
         rng = np.random.default_rng(3)
-        cfg = AttentionConfig(2, 2, 4)
         cache = cache_of(rng, 2, 5, 4)
         q = Tensor(rng.standard_normal((2, 5, 4)))
-        base = attend(q, cache, cfg, np.arange(5)).numpy()
+        base = attend(q, cache).numpy()
         zeroed_k = cache.keys.numpy().copy()
         zeroed_v = cache.values.numpy().copy()
         zeroed_k[:, 3:, :] = 0.0
         zeroed_v[:, 3:, :] = 0.0
-        out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1), cfg, np.arange(5)).numpy()
+        out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
         np.testing.assert_array_equal(out[:, :3], base[:, :3])
 
-    def test_position_length_mismatch_rejected(self):
-        rng = np.random.default_rng(4)
-        cfg = AttentionConfig(2, 2, 4)
-        cache = cache_of(rng, 2, 3, 4)
-        q = Tensor(rng.standard_normal((2, 3, 4)))
-        with pytest.raises(DimensionError):
-            attend(q, cache, cfg, np.arange(4))
-
     def test_grouping_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            AttentionConfig(3, 2, 4)
         rng = np.random.default_rng(5)
-        cfg = AttentionConfig(4, 2, 4)
-        cache = cache_of(rng, 3, 2, 4)  # wrong kv head count
+        cache = cache_of(rng, 3, 2, 4)  # 3 kv heads cannot serve 4 query heads
         q = Tensor(rng.standard_normal((4, 2, 4)))
-        with pytest.raises(DimensionError):
-            attend(q, cache, cfg, np.arange(2))
-
+        with pytest.raises(DimensionError, match="4 query heads not divisible by 3 kv heads"):
+            attend(q, cache)
 
     def test_odd_head_dim_matches_loop_oracle(self):
         # rotation needs an even head_dim; attention itself does not
         rng = np.random.default_rng(21)
-        cfg = AttentionConfig(2, 1, 3)
         cache = cache_of(rng, 1, 4, 3)
         q = Tensor(rng.standard_normal((2, 4, 3)))
         want = loop_attention(q.numpy(), cache.keys.numpy(), cache.values.numpy(), 2, np.arange(4), np.arange(4))
-        assert np.abs(attend(q, cache, cfg, np.arange(4)).numpy() - want).max() < 1e-12
-        assert np.abs(by_row(q, cache, cfg, np.arange(4)) - want).max() < 1e-12
+        assert np.abs(attend(q, cache).numpy() - want).max() < 1e-12
+        assert np.abs(by_row(q, cache) - want).max() < 1e-12
 
     @pytest.mark.parametrize(
-        "q_shape, q_pos, k_pos, error, message",
+        "q_shape, cache_lead, message",
         [
-            ((3, 2, 4), [0, 1], None, DimensionError, "do not match 2 heads"),
-            ((2, 2, 6), [0, 1], None, DimensionError, "head_dim 4"),
-            ((1, 2, 2, 4), [0, 1], None, DimensionError, "leading dims differ"),
-            ((2, 2, 4), [0, 1], [0, 1], DimensionError, "2 key positions for 3 cache rows"),
-            ((2, 2, 4), [-1, 0], None, ValueError, "nonnegative"),
-            ((2, 2, 4), [0, 1], [-1, 0, 1], ValueError, "nonnegative"),
+            ((3, 2, 4), (), "3 query heads not divisible by 2 kv heads"),
+            ((2, 2, 6), (), "head_dim differ"),
+            ((1, 2, 2, 4), (3,), "leading dims"),
+            ((2, 4, 4), (), "4 query rows but only 3 cache rows"),
+            ((1, 2, 4), (), "1 query heads not divisible by 2 kv heads"),
+            ((2, 4), (), "not both"),
         ],
-        ids=["query-heads", "head-dim", "leading-dims", "key-position-count", "negative-query", "negative-key"],
+        ids=["query-heads", "head-dim", "leading-dims", "more-query-rows", "fewer-query-heads", "query-rank"],
     )
-    def test_boundary_errors(self, q_shape, q_pos, k_pos, error, message):
+    def test_boundary_errors(self, q_shape, cache_lead, message):
+        # every size comes from the operands: a cache of [*cache_lead, 2, 3, 4]
         rng = np.random.default_rng(22)
-        cache = cache_of(rng, 2, 3, 4)
+        shape = cache_lead + (2, 3, 4)
+        cache = LayerCache(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), 1)
         q = Tensor(rng.standard_normal(q_shape))
-        with pytest.raises(error, match=message):
-            attend(q, cache, AttentionConfig(2, 2, 4), np.array(q_pos), None if k_pos is None else np.array(k_pos))
+        with pytest.raises(DimensionError, match=message):
+            attend(q, cache)
 
 
-def by_row(q, cache, cfg, q_pos, k_pos=None):
-    """`attend` on one query row at a time, the kernel's folding path."""
+def first_rows(cache, n):
+    """`cache`'s terms cut to their first n rows: what a query at position n - 1 sees."""
+
+    def cut(terms):
+        return tuple((Tensor(tensor.numpy()[..., :n, :]), weight) for tensor, weight in terms)
+
+    return FoldedCache(cut(cache.key_terms), cut(cache.value_terms), cache.layer)
+
+
+def by_row(q, cache):
+    """`attend` on one query row at a time, each on the cache rows up to its
+    own, as a decode step runs: the kernel's folding path."""
     rows = [
-        attend(Tensor(q.numpy()[:, t : t + 1, :]), cache, cfg, q_pos[t : t + 1], k_pos).numpy()
+        attend(Tensor(q.numpy()[..., t : t + 1, :]), first_rows(cache, t + 1)).numpy()
         for t in range(q.shape[-2])
     ]
     return np.concatenate(rows, axis=-2)
@@ -137,42 +132,39 @@ class TestAttendFused:
 
     def test_single_source_unit_weights_equals_attend(self):
         rng = np.random.default_rng(6)
-        cfg = AttentionConfig(2, 2, 8)
         cache = cache_of(rng, 2, 4, 8)
         q = Tensor(rng.standard_normal((2, 4, 8)))
         ones = FoldedCache(
             ((cache.keys, Tensor(np.ones(8))),), ((cache.values, Tensor(np.ones(8))),), 3
         )
-        fused = attend(q, ones, cfg, np.arange(4)).numpy()
-        plain = attend(q, cache, cfg, np.arange(4)).numpy()
+        fused = attend(q, ones).numpy()
+        plain = attend(q, cache).numpy()
         np.testing.assert_allclose(fused, plain, atol=1e-14)
-        np.testing.assert_allclose(by_row(q, ones, cfg, np.arange(4)), plain, atol=1e-14)
+        np.testing.assert_allclose(by_row(q, ones), plain, atol=1e-14)
 
     def test_matches_materialize_then_attend(self):
         rng = np.random.default_rng(7)
         plan = plan_for_strategy("FusedKV", 4, 2)
         weights = init_normal(plan, 8, 8)
-        cfg = AttentionConfig(4, 2, 8)
         stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in (1, 2)}
         q = Tensor(rng.standard_normal((4, 5, 8)))
         k, v = reconstruct(plan, weights, stored, 3)
         terms = folded_cache(plan, weights, stored, 3)
-        mat = attend(q, LayerCache(k, v, 3), cfg, np.arange(5)).numpy()
-        assert np.abs(mat - attend(q, terms, cfg, np.arange(5)).numpy()).max() < 1e-12
-        assert np.abs(mat - by_row(q, terms, cfg, np.arange(5))).max() < 1e-12
+        mat = attend(q, LayerCache(k, v, 3)).numpy()
+        assert np.abs(mat - attend(q, terms).numpy()).max() < 1e-12
+        assert np.abs(mat - by_row(q, terms)).max() < 1e-12
 
     def test_several_rows_sum_the_terms_as_reconstruct_does(self):
         # a multi-row query sums each side's terms once, with reconstruct's ops
         rng = np.random.default_rng(8)
-        cfg = AttentionConfig(4, 2, 8)
         for strategy in ("FusedKV", "DenseFusion", "FusedKV-Lite"):
             plan = plan_for_strategy(strategy, 6, 3)
             weights = init_normal(plan, 8, 8)
             stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in plan.storage_layers}
             q = Tensor(rng.standard_normal((4, 3, 8)))
             k, v = reconstruct(plan, weights, stored, 4)
-            mat = attend(q, LayerCache(k, v, 4), cfg, np.arange(2, 5)).numpy()
-            summed = attend(q, folded_cache(plan, weights, stored, 4), cfg, np.arange(2, 5)).numpy()
+            mat = attend(q, LayerCache(k, v, 4)).numpy()
+            summed = attend(q, folded_cache(plan, weights, stored, 4)).numpy()
             assert np.array_equal(summed, mat), strategy
 
     def test_shift_invariance_end_to_end(self):
@@ -180,7 +172,6 @@ class TestAttendFused:
         sched = RopeSchedule(8)
         plan = plan_for_strategy("FusedKV", 4, 2)
         weights = init_normal(plan, 8, 10)
-        cfg = AttentionConfig(2, 2, 8)
         raw_q = rng.standard_normal((2, 6, 8))
         raw = {j: (rng.standard_normal((2, 6, 8)), rng.standard_normal((2, 6, 8))) for j in (1, 2)}
 
@@ -191,24 +182,23 @@ class TestAttendFused:
                 for j in (1, 2)
             }
             q = apply_rope(Tensor(raw_q), pos, sched)
-            return attend_rows(q, folded_cache(plan, weights, srcs, 3), cfg, pos, pos)
+            return attend_rows(q, folded_cache(plan, weights, srcs, 3))
 
         for attend_rows in (lambda *a: attend(*a).numpy(), by_row):
             assert np.abs(run(0, attend_rows) - run(7, attend_rows)).max() < 1e-10
 
     def test_mismatched_weight_lists_rejected(self):
         rng = np.random.default_rng(11)
-        cfg = AttentionConfig(2, 2, 4)
         cache = cache_of(rng, 2, 2, 4)
         q = Tensor(rng.standard_normal((2, 2, 4)))
         value_terms = ((cache.values, Tensor(np.ones(4))),)
         with pytest.raises(DimensionError):  # no key terms
-            attend(q, FoldedCache((), value_terms, 3), cfg, np.arange(2))
+            attend(q, FoldedCache((), value_terms, 3))
         with pytest.raises(DimensionError):  # weight length is not head_dim
-            attend(q, FoldedCache(((cache.keys, Tensor(np.ones(3))),), value_terms, 3), cfg, np.arange(2))
+            attend(q, FoldedCache(((cache.keys, Tensor(np.ones(3))),), value_terms, 3))
         short = cache_of(rng, 2, 1, 4)
         with pytest.raises(DimensionError):  # terms of different cache lengths
-            attend(q, FoldedCache(((cache.keys, None), (short.keys, None)), value_terms, 3), cfg, np.arange(2))
+            attend(q, FoldedCache(((cache.keys, None), (short.keys, None)), value_terms, 3))
 
 
 FOLDED_STRATEGIES = (
@@ -229,15 +219,14 @@ class TestFoldedKernel:
         rng = np.random.default_rng([13, s_q])
         plan = plan_for_strategy(strategy, 6, 3)
         weights = init_normal(plan, 8, 14)
-        cfg = AttentionConfig(4, 2, 8)
         s_k = 7
         stored = {j: cache_of(rng, 2, s_k, 8, layer=j) for j in plan.storage_layers}
         q = Tensor(rng.standard_normal((4, s_q, 8)))
         q_pos = np.arange(s_k - s_q, s_k)
         for i in plan.reconstruction_layers:
             k, v = reconstruct(plan, weights, stored, i)
-            folded = attend(q, folded_cache(plan, weights, stored, i), cfg, q_pos).numpy()
-            materialized = attend(q, LayerCache(k, v, i), cfg, q_pos).numpy()
+            folded = attend(q, folded_cache(plan, weights, stored, i)).numpy()
+            materialized = attend(q, LayerCache(k, v, i)).numpy()
             oracle = loop_attention(q.numpy(), k.numpy(), v.numpy(), 2, q_pos, np.arange(s_k))
             assert np.abs(folded - materialized).max() < 1e-12
             assert np.abs(folded - oracle).max() < 1e-12
@@ -249,7 +238,6 @@ class TestFoldedKernel:
         rng = np.random.default_rng(seed)
         plan = plan_for_strategy("FusedKV", 4, 2)
         weights = init_normal(plan, 4, seed + 1)
-        cfg = AttentionConfig(4, 2, 4)
         stored = {j: cache_of(rng, 2, 3, 4, layer=j) for j in (1, 2)}
         q = Tensor(rng.standard_normal((4, s_q, 4)))
         probe = rng.standard_normal((4, s_q, 4))
@@ -259,7 +247,7 @@ class TestFoldedKernel:
         params += [weights[f"fusion.{cache}.3.{j}"] for cache in ("key", "value") for j in (1, 2)]
 
         def loss():
-            return (attend(q, folded_cache(plan, weights, stored, 3), cfg, np.arange(3 - s_q, 3)) * probe).sum()
+            return (attend(q, folded_cache(plan, weights, stored, 3)) * probe).sum()
 
         return grad_check(loss, params)
 

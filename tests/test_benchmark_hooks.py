@@ -40,3 +40,26 @@ def test_chunked_prefill_embeds_once_per_forward_step(monkeypatch):
     with hooks.patched(bounds.patches()):
         model.decode(np.arange(7), 3)
     assert len(bounds.tokens) == 3  # a 7-row prefill in 4 chunks and two decode steps
+
+
+def test_tracer_inspect_hooks_see_cache_appends_and_ops(monkeypatch):
+    # the traced run's per-token metrics come from inspect hooks that read
+    # attend's arguments (the cache is args[1]); they run only inside a unit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    hooks = importlib.import_module("hooks")
+    tracer = hooks.Tracer()
+    with hooks.patched(tracer.patches()):
+        for strategy, n_kv_heads in (("FusedKV", 2), ("GQA", 1)):
+            cfg = ModelConfig(n_layers=4, d_model=16, n_query_heads=2, n_kv_heads=n_kv_heads, strategy=strategy)
+            model = build_model(cfg, seed=0)
+            bucket = (strategy, "decode")
+            tracer.new_request(strategy, model)
+            tracer.begin(bucket, hooks.clock())
+            model.decode(np.arange(5), 3)  # the prefill, then two decode steps
+            tracer.end(hooks.clock())
+            # the first step copies the 5 prompt rows and its own into the
+            # cache buffer; the second writes its one row in place
+            row_bytes = 2 * n_kv_heads * cfg.head_dim * np.dtype(cfg.dtype).itemsize  # keys and values
+            want = (6 + 1) * len(model.plan.storage_layers) * row_bytes
+            assert tracer.bytes[(bucket, "model.cache_append")] == want > 0
+            assert tracer.counts[(bucket, "tensor.record_op")] > 0

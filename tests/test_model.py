@@ -71,6 +71,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(middle=8)
 
+    @pytest.mark.parametrize("value", [2.5, 0])
+    def test_middle_is_a_positive_integer(self, value):
+        # a float middle used to reach `range` in the plan builder as a raw TypeError
+        with pytest.raises(ValueError, match="middle must be a positive integer"):
+            ModelConfig(middle=value, strategy="YOCO")
+
+    def test_query_heads_must_be_a_multiple_of_kv_heads(self):
+        with pytest.raises(DimensionError, match="6 query heads not divisible by 4 kv heads"):
+            ModelConfig(d_model=48, n_query_heads=6, n_kv_heads=4)
+
     @pytest.mark.parametrize(
         "fields, message",
         [

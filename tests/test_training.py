@@ -105,6 +105,16 @@ class TestTrainLoop:
             train(build_model(tiny_cfg(), seed=0), "copy", 2, eval_interval=0, prompt_len=4)
         assert drawn == []
 
+    @pytest.mark.parametrize("setting", ["steps", "batch_size", "prompt_len", "eval_interval"])
+    @pytest.mark.parametrize("value", [0, 2.5])
+    def test_integer_settings_checked_before_any_batch(self, setting, value, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(crosskv.training, "make_batch", lambda *a, **k: drawn.append(a))
+        settings = {"steps": 2, "batch_size": 2, "prompt_len": 4, "eval_interval": 1, setting: value}
+        with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1, got {value!r}"):
+            train(build_model(tiny_cfg(), seed=0), "copy", **settings)
+        assert drawn == []
+
     def test_fixed_seed_reproduces_loss_curve(self):
         r1 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2, prompt_len=4)
         r2 = train(build_model(tiny_cfg(), seed=3), "copy", 12, seed=5, batch_size=2, prompt_len=4)
