@@ -22,25 +22,31 @@ multiply its [s_q, s_k] score and value matmuls by the number of terms.
 Grouping is a free view of the queries as [..., H_kv, g·s_q, D]; no cache
 is ever repeated per query head. Both forms must match
 materialize-then-attend to 1e-12 (tests and `verify`).
+
+Each call is one tape op with a hand-written backward. Its one score slab
+is checked finite once, masked only in its last s_q columns and softmaxed
+in place, in the order of operations of a scores-softmax-values chain, so
+its results are bit for bit those of separate ops.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from .sharing import FoldedCache, LayerCache, _sum_terms
-from .tensor import DimensionError, Tensor, _unbroadcast, masked_softmax, record_op
+from .tensor import DimensionError, Tensor, _check_finite, _unbroadcast, record_op
 
 # Not called here any more. The benchmark's tracer (perfbench/hooks.py)
 # wraps these names in this module by attribute, so they stay bound.
-from .tensor import matmul, matmul_t, repeat  # noqa: F401
+from .tensor import masked_softmax, matmul, matmul_t, repeat  # noqa: F401
 
 __all__ = ["attend"]
 
 
-def _check_terms(q: Tensor, cache) -> tuple[int, ...]:
+def _check_terms(q: Tensor, cache) -> None:
     """q: [..., H_q, s_q, D]; every term: [..., H_kv, s_k, D]; weights: scalars or [D]."""
     if not cache.key_terms or not cache.value_terms:
         raise DimensionError("attention needs at least one key term and one value term")
@@ -59,66 +65,54 @@ def _check_terms(q: Tensor, cache) -> tuple[int, ...]:
             raise DimensionError(f"cache terms differ in shape: {tensor.shape} vs {shape}")
         if weight is not None and weight.shape not in ((), (shape[-1],)):
             raise DimensionError(f"weight {weight.shape} is neither a scalar nor [{shape[-1]}]")
-    return shape
 
 
-def _parents(first: Tensor, terms) -> tuple[Tensor, ...]:
-    """`first`, then each term's tensor and (when present) its weight."""
-    out = [first]
-    for tensor, weight in terms:
-        out.append(tensor)
-        if weight is not None:
-            out.append(weight)
-    return tuple(out)
+def _weighted(x: np.ndarray, weight: Tensor | None) -> np.ndarray:
+    return x if weight is None else x * weight.data
 
 
-def _folded_scores(q: Tensor, key_terms, n_kv_heads: int) -> Tensor:
-    """Σ_j (w_j ⊙ q)·K_jᵀ with q viewed as [..., H_kv, g·s_q, D]; one tape op."""
-    qg = q.data.reshape(q.shape[:-3] + (n_kv_heads, -1, q.shape[-1]))
-    out = None
-    for keys, weight in key_terms:
-        qw = qg if weight is None else qg * weight.data
-        term = np.matmul(qw, np.swapaxes(keys.data, -1, -2))
-        out = term if out is None else out + term
-
-    def backward(g):
-        dq, grads = None, []
-        for keys, weight in key_terms:
-            gk = np.matmul(g, keys.data)
-            qw = qg if weight is None else qg * weight.data
-            grads.append(np.matmul(np.swapaxes(g, -1, -2), qw))
-            if weight is not None:
-                grads.append(_unbroadcast(gk * qg, weight.shape))
-                gk = gk * weight.data
-            dq = gk if dq is None else dq + gk
-        return (dq.reshape(q.shape), *grads)
-
-    return record_op("folded_scores", out, _parents(q, key_terms), backward)
-
-
-def _folded_values(probs: Tensor, value_terms, q_shape) -> Tensor:
-    """Σ_j (P·V_j) ⊙ b_j, returned in the query layout [..., H_q, s_q, D]; one tape op."""
-    p = probs.data
-    parts = [np.matmul(p, values.data) for values, _ in value_terms]
-    out = None
-    for part, (_, weight) in zip(parts, value_terms):
-        term = part if weight is None else part * weight.data
-        out = term if out is None else out + term
-    grouped = out.shape
+def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
+    """softmax(Σ_j (w_j ⊙ q)·K_jᵀ / √D, causal) · Σ_j V_j ⊙ b_j as one tape
+    op, with q viewed as [..., H_kv, g·s_q, D]."""
+    h_kv, s_k, depth = key_terms[0][0].shape[-3:]
+    s_q, scale = q.shape[-2], 1.0 / math.sqrt(depth)
+    qg = q.data.reshape(q.shape[:-3] + (h_kv, -1, depth))
+    p = reduce(np.add, (np.matmul(_weighted(qg, w), np.swapaxes(k.data, -1, -2)) for k, w in key_terms))
+    _check_finite(p, "attention scores")
+    p *= scale
+    if s_q > 1:  # query row t sees cache rows up to s_k - s_q + t
+        newest = p.reshape(p.shape[:-2] + (-1, s_q, s_k))[..., s_k - s_q :]
+        np.copyto(newest, -np.inf, where=~np.tri(s_q, dtype=bool))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    parts = [np.matmul(p, v.data) for v, _ in value_terms]
+    out = reduce(np.add, (_weighted(part, w) for part, (_, w) in zip(parts, value_terms)))
 
     def backward(g):
-        gg = g.reshape(grouped)
-        dp, grads = None, []
-        for part, (values, weight) in zip(parts, value_terms):
-            gw = gg if weight is None else gg * weight.data
-            term = np.matmul(gw, np.swapaxes(values.data, -1, -2))
-            dp = term if dp is None else dp + term
-            grads.append(np.matmul(np.swapaxes(p, -1, -2), gw))
-            if weight is not None:
-                grads.append(_unbroadcast(part * gg, weight.shape))
-        return (dp, *grads)
+        gg = g.reshape(out.shape)
+        gws = [_weighted(gg, w) for _, w in value_terms]
+        dp = reduce(np.add, (np.matmul(gw, np.swapaxes(v.data, -1, -2)) for gw, (v, _) in zip(gws, value_terms)))
+        value_grads = []
+        for gw, part, (_, w) in zip(gws, parts, value_terms):
+            value_grads.append(np.matmul(np.swapaxes(p, -1, -2), gw))
+            if w is not None:
+                value_grads.append(_unbroadcast(part * gg, w.shape))
+        dp -= (p * dp).sum(axis=-1, keepdims=True)
+        dz = scale * p * dp  # masked entries have p == 0
+        gks = [np.matmul(dz, k.data) for k, _ in key_terms]
+        key_grads = []
+        for gk, (_, w) in zip(gks, key_terms):
+            key_grads.append(np.matmul(np.swapaxes(dz, -1, -2), _weighted(qg, w)))
+            if w is not None:
+                key_grads.append(_unbroadcast(gk * qg, w.shape))
+        dq = reduce(np.add, (_weighted(gk, w) for gk, (_, w) in zip(gks, key_terms)))
+        return (dq.reshape(q.shape), *key_grads, *value_grads)
 
-    return record_op("folded_values", out.reshape(q_shape), _parents(probs, value_terms), backward)
+    parents = [q]
+    for tensor, w in (*key_terms, *value_terms):
+        parents += [tensor] if w is None else [tensor, w]
+    return record_op("attention", out.reshape(q.shape), parents, backward)
 
 
 def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
@@ -131,12 +125,8 @@ def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
     is one unweighted term of keys and one of values. With more than one
     query row, each side's terms are summed first. Returns [..., H_q, s_q, D].
     """
-    h_kv, s_k, depth = _check_terms(q, cache)[-3:]
-    h_q, s_q = q.shape[-3:-1]
+    _check_terms(q, cache)
     key_terms, value_terms = cache.key_terms, cache.value_terms
-    if s_q > 1:
+    if q.shape[-2] > 1:
         key_terms, value_terms = ((_sum_terms(key_terms), None),), ((_sum_terms(value_terms), None),)
-    scores = _folded_scores(q, key_terms, h_kv)
-    mask = np.tile(np.tri(s_q, s_k, s_k - s_q, dtype=bool), (h_q // h_kv, 1))
-    probs = masked_softmax(scores, mask, 1.0 / math.sqrt(depth))
-    return _folded_values(probs, value_terms, q.shape)
+    return _attention(q, key_terms, value_terms)

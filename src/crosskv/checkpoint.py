@@ -58,8 +58,8 @@ def _read(fh, n: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into an ordered {name: array} dict. A short
-    file or an unknown dtype code raises ValueError."""
+    """Read a checkpoint back into an ordered {name: array} dict. A short file,
+    an unknown dtype code, a repeated name or trailing bytes raise ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -70,6 +70,8 @@ def load_checkpoint(path) -> dict:
         for index in range(count):
             (name_len,) = struct.unpack("<H", _read(fh, 2, path, f"tensor {index} name length"))
             name = _read(fh, name_len, path, f"tensor {index} name").decode("utf-8")
+            if name in out:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
             code, ndim = struct.unpack("<BB", _read(fh, 2, path, f"{name} dtype"))
             if code not in _CODE_DTYPES:
                 raise ValueError(f"{path}: {name}: unknown dtype code {code}")
@@ -78,4 +80,7 @@ def load_checkpoint(path) -> dict:
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read(fh, n * dtype.itemsize, path, f"{name} data"), dtype=dtype)
             out[name] = data.reshape(shape).astype(dtype.newbyteorder("="))
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+        if extra:
+            raise ValueError(f"{path}: {extra} bytes after the last of {count} tensors")
         return out

@@ -11,15 +11,16 @@ over the whole sequence into a fresh cache dict, `decode` for each step
 and for its prefill, appending to the caches that only storage layers
 keep. The prefill embeds the prompt once, then runs it through the stack
 `PREFILL_CHUNK` rows at a time, so each chunk attends to the keys up to
-its own end and no [H, T, T] score tensor is built. An append writes the
-new rows into a buffer of `max_seq_len` rows (`LayerCache.append`); only
-the first append copies the first chunk's rows in. A reconstruction
-layer hands the attention kernel its sources' stored caches and fusion
-weights (`folded_cache`); the kernel folds them for a one-row step and
-sums them for a longer pass or chunk, so `sharing.reconstruct` stays an
-oracle for the tests. The queries handed to `attend(q, cache)` are the
-cache's last rows. Training records on the gradient tape; decode runs
-tape-free.
+its own end and no [H, T, T] score tensor is built. A tape-free pass
+writes a storage layer's first rows into a buffer of `max_seq_len` rows
+(`LayerCache.buffered`); each later chunk or step writes only its own
+rows (`LayerCache.append`). A reconstruction layer hands the attention
+kernel its sources' stored caches and fusion weights (`folded_cache`);
+the kernel folds them for a one-row step and sums them for a longer pass
+or chunk, so `sharing.reconstruct` stays an oracle for the tests. The
+queries handed to `attend(q, cache)` are the cache's last rows, and each
+attention call is one tape op. Training records on the gradient tape;
+decode runs tape-free.
 """
 
 from __future__ import annotations
@@ -226,18 +227,18 @@ class DecoderModel:
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage
         layer appends its new keys and values to caches[i] in place (a
-        buffer of `max_seq_len` rows), or starts that entry; the append is
-        tape-free, so a taped pass starts from an empty dict. A
-        reconstruction layer hands `attend` the stored caches as weighted
-        terms, which it folds for one row and sums for several."""
+        buffer of `max_seq_len` rows), or starts that entry, buffered when
+        tape-free; the append is tape-free, so a taped pass starts from an
+        empty dict. A reconstruction layer hands `attend` the stored caches
+        as weighted terms, which it folds for one row and sums for several."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
             cache = folded_cache(self.plan, self.params, caches, i)
         else:
-            new = self._layer_cache(i, xn, positions)
-            caches[i] = cache = caches[i].append(new, self.cfg.max_seq_len) if i in caches else new
+            new, rows = self._layer_cache(i, xn, positions), self.cfg.max_seq_len
+            caches[i] = cache = caches[i].append(new, rows) if i in caches else new.buffered(rows)
         o = attend(q, cache)
         x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])

@@ -251,11 +251,18 @@ class _CacheBuffer:
         self.rows = 0
 
     def write(self, keys: np.ndarray, values: np.ndarray, layer: int) -> None:
-        added = np.s_[..., self.rows : self.rows + keys.shape[-2], :]
+        n, m, capacity = self.rows, keys.shape[-2], self.keys.shape[-2]
+        if n + m > capacity:
+            raise ValueError(f"layer {layer}: {n} + {m} cache rows exceed capacity {capacity}")
         for buf, rows in ((self.keys, keys), (self.values, values)):
-            buf[added] = rows
-            _check_finite(buf[added], f"layer {layer} cache append")
-        self.rows += keys.shape[-2]
+            buf[..., n : n + m, :] = rows
+            _check_finite(buf[..., n : n + m, :], f"layer {layer} cache append")
+        self.rows = n + m
+
+    def cache(self, layer: int) -> "LayerCache":
+        """The written rows, as read-only row-prefix views."""
+        rows = np.s_[..., : self.rows, :]
+        return LayerCache(Tensor._adopt_rows(self.keys[rows]), Tensor._adopt_rows(self.values[rows]), layer, self)
 
 
 @dataclass
@@ -265,8 +272,8 @@ class LayerCache:
     A model pass keeps one per storage layer, growing it by `append` across
     decode steps; a reconstruction layer reads these through a
     `FoldedCache` and has none of its own. A cache that came from `append`
-    holds read-only row-prefix views of a buffer preallocated at the
-    decode capacity; its values never change.
+    or `buffered` holds read-only row-prefix views of a buffer preallocated
+    at the decode capacity; its values never change.
     """
 
     keys: Tensor
@@ -294,33 +301,35 @@ class LayerCache:
     def value_terms(self) -> tuple:
         return ((self.values, None),)
 
+    def buffered(self, capacity: int) -> "LayerCache":
+        """This cache's rows written into a fresh buffer of `capacity` rows,
+        so that appending to the result writes only the new rows. Tape-free:
+        a cache of tracked tensors is returned as it is."""
+        if self.keys.tape is not None or self.values.tape is not None:
+            return self
+        buf = _CacheBuffer(self.keys, capacity)
+        buf.write(self.keys.data, self.values.data, self.layer)
+        return buf.cache(self.layer)
+
     def append(self, new: "LayerCache", capacity: int) -> "LayerCache":
         """This cache's rows followed by `new`'s, in a buffer of `capacity` rows.
 
-        The first append copies this cache's rows into a fresh buffer; an
-        append to the buffer's newest cache writes only the new rows. Rows
-        are checked finite as they are written. Appending to an older cache
-        copies into a fresh buffer, so the newer cache's rows stay as they
-        are. Tape-free: the result records no gradient.
+        An append to the buffer's newest cache writes only the new rows; any
+        other cache is first copied into a fresh buffer, so a newer cache's
+        rows stay as they are. Rows are checked finite and within capacity
+        as they are written. Tape-free: the result records no gradient.
         """
         n, m = self.length, new.length
         if new.keys.shape[:-2] != self.keys.shape[:-2] or new.keys.shape[-1] != self.keys.shape[-1]:
             raise DimensionError(f"layer {self.layer}: cannot append {new.keys.shape} to {self.keys.shape}")
         if new.keys.dtype != self.keys.dtype:
             raise TypeError(f"layer {self.layer}: cannot append {new.keys.dtype} rows to a {self.keys.dtype} cache")
-        if n + m > capacity:
-            raise ValueError(f"layer {self.layer}: {n} + {m} cache rows exceed capacity {capacity}")
         buf = self._buffer
         if buf is None or buf.rows != n or buf.keys.shape[-2] < n + m:
             buf = _CacheBuffer(self.keys, capacity)
             buf.write(self.keys.data, self.values.data, self.layer)
         buf.write(new.keys.data, new.values.data, self.layer)
-        return LayerCache(
-            Tensor._adopt_rows(buf.keys[..., : n + m, :]),
-            Tensor._adopt_rows(buf.values[..., : n + m, :]),
-            self.layer,
-            buf,
-        )
+        return buf.cache(self.layer)
 
 
 @dataclass(frozen=True)

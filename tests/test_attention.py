@@ -69,6 +69,22 @@ class TestAttend:
         out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
         np.testing.assert_array_equal(out[:, :3], base[:, :3])
 
+    def test_causality_of_a_chunk_with_grouped_heads(self):
+        # a prefill chunk: 4 query rows at positions 3..6 of a 7-row cache,
+        # two query heads per kv head; rows at positions 5 and 6 are the
+        # future of the chunk's first two queries
+        rng = np.random.default_rng(4)
+        cache = cache_of(rng, 2, 7, 4)
+        q = Tensor(rng.standard_normal((4, 4, 4)))
+        base = attend(q, cache).numpy()
+        zeroed_k = cache.keys.numpy().copy()
+        zeroed_v = cache.values.numpy().copy()
+        zeroed_k[:, 5:, :] = 0.0
+        zeroed_v[:, 5:, :] = 0.0
+        out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
+        np.testing.assert_array_equal(out[:, :2], base[:, :2])
+        assert not np.array_equal(out[:, 2:], base[:, 2:])
+
     def test_grouping_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         cache = cache_of(rng, 3, 2, 4)  # 3 kv heads cannot serve 4 query heads
@@ -232,13 +248,13 @@ class TestFoldedKernel:
             assert np.abs(folded - oracle).max() < 1e-12
 
     @staticmethod
-    def weighted_fd_error(s_q, seed):
+    def weighted_fd_error(s_q, seed, s_k=3):
         """FD error of a FusedKV layer's gradients for an s_q-row query, with
         respect to the query, both source caches and all fusion weights."""
         rng = np.random.default_rng(seed)
         plan = plan_for_strategy("FusedKV", 4, 2)
         weights = init_normal(plan, 4, seed + 1)
-        stored = {j: cache_of(rng, 2, 3, 4, layer=j) for j in (1, 2)}
+        stored = {j: cache_of(rng, 2, s_k, 4, layer=j) for j in (1, 2)}
         q = Tensor(rng.standard_normal((4, s_q, 4)))
         probe = rng.standard_normal((4, s_q, 4))
         params = [q]
@@ -256,6 +272,17 @@ class TestFoldedKernel:
         assert self.weighted_fd_error(2, 15) < 1e-6
 
     def test_one_row_folded_gradients_match_fd(self):
-        # one query row folds the weights: the hand-written backward of
-        # folded_scores / folded_values
+        # one query row folds the weights: the hand-written backward of the
+        # attention op over every weighted term
         assert self.weighted_fd_error(1, 17) < 1e-6
+
+    def test_prefill_chunk_gradients_match_fd(self):
+        # 3 query rows against 6 cache rows: the causal mask cuts only the
+        # chunk's last 3 columns, tiled over 2 query heads per kv head
+        assert self.weighted_fd_error(3, 19, s_k=6) < 1e-6
+        rng = np.random.default_rng(20)
+        cache = cache_of(rng, 2, 6, 4)
+        q = Tensor(rng.standard_normal((4, 3, 4)))
+        probe = rng.standard_normal((4, 3, 4))
+        err = grad_check(lambda: (attend(q, cache) * probe).sum(), [q, cache.keys, cache.values])
+        assert err < 1e-6

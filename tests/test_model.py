@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -204,16 +205,16 @@ class TestDecode:
         assert np.abs(full[: len(res.logits)] - res.logits).max() <= 1e-10
 
     def test_fused_decode_step_materializes_only_the_appends(self):
-        # After the first step, a step writes its new rows into the cache
-        # buffers in place: it allocates less than one storage layer's K+V,
-        # where re-copying every storage cache would allocate several.
+        # A tape-free pass starts each storage cache in its buffer, so every
+        # step, the first included, writes its new rows in place: it
+        # allocates less than one storage layer's K+V, where re-copying every
+        # storage cache would allocate several.
         for strategy, n_kv_heads in [("Vanilla", 4), ("GQA", 2), ("FusedKV", 4), ("DenseFusion", 4)]:
             m = build_model(small_cfg(strategy, d_model=64, n_kv_heads=n_kv_heads, max_seq_len=260), seed=11)
             caches = {}
             m._forward((np.arange(256) % 16)[None, :], np.arange(256), caches)
-            m._forward(np.array([[3]]), np.array([256]), caches)
             layer_bytes = next(c.keys.data.nbytes + c.values.data.nbytes for c in caches.values())
-            for pos in (257, 258):
+            for pos in (256, 257, 258):
                 tracemalloc.start()
                 try:
                     before, _ = tracemalloc.get_traced_memory()
@@ -456,6 +457,21 @@ class TestCheckpoint:
             path.write_bytes(full[:cut])
             with pytest.raises(ValueError, match="truncated"):
                 load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.zeros(2)}, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 1 bytes after the last of 1 tensors"):
+            load_checkpoint(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.zeros(2), "v": np.ones(2)}, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"\x01\x00v", b"\x01\x00w"))  # rename "v" to "w"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: tensor 'w' appears twice"):
+            load_checkpoint(path)
 
     def test_unknown_dtype_code_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -17,7 +17,7 @@ from crosskv.sharing import (
     reconstruct,
     sample_iterative_weights,
 )
-from crosskv.tensor import DimensionError, EvaluationError, Tensor
+from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor
 
 
 def random_caches(layers, shape=(2, 4, 8), seed=0):
@@ -343,6 +343,21 @@ class TestLayerCacheAppend:
             full.append(rows_cache(5, 1), capacity=5)
         with pytest.raises(ValueError, match="layer 5"):
             rows_cache(0, 3, layer=5).append(rows_cache(3, 3), capacity=5)
+
+    def test_buffered_cache_appends_in_place(self):
+        start = rows_cache(0, 3).buffered(capacity=8)
+        grown = start.append(rows_cache(3, 2), capacity=8)
+        np.testing.assert_array_equal(grown.keys.numpy()[0, :, 0], np.arange(5))
+        assert np.may_share_memory(start.keys.numpy(), grown.keys.numpy())
+        with pytest.raises(ValueError, match="layer 1: 0 \\+ 3 cache rows exceed capacity 2"):
+            rows_cache(0, 3).buffered(capacity=2)
+
+    def test_tracked_cache_is_not_buffered(self):
+        # a taped pass keeps its tracked tensors, so their gradients flow
+        cache = rows_cache(0, 3)
+        with Tape() as tape:
+            tape.watch(cache.values)
+            assert cache.buffered(capacity=8) is cache
 
     def test_larger_capacity_moves_to_a_fresh_buffer(self):
         full = rows_cache(0, 3).append(rows_cache(3, 2), capacity=5)

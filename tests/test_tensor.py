@@ -205,6 +205,19 @@ class TestKernelsMatchReference:
         np.testing.assert_array_equal(got, want)
         assert got[:4].tolist() == [1.0, 0.0, 0.5, 0.5]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bit_equal_to_the_where_form(self, dtype):
+        # the np.where form `_sigmoid` used before its numerator became a second exp
+        extremes = [0.0, -0.0, 700.0, -700.0, 1e300, -1e300]
+        spread = np.random.default_rng(32).standard_normal(4096) * np.logspace(-8, 3, 4096)
+        big = np.finfo(dtype).max  # 1e300 becomes float32's largest finite value
+        z = np.clip(np.concatenate([extremes, spread, -spread]), -big, big).astype(dtype)
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1, e) / (1 + e)
+        got = _sigmoid(z)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
 
 class TestRmsnorm:
     def test_zeros_stay_zero(self):
