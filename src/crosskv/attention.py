@@ -15,18 +15,18 @@ fold into the small operands through the dot-product identities
 
     (w ⊙ q)·k = q·(w ⊙ k)        and        P·(V ⊙ b) = (P·V) ⊙ b,
 
-so a one-row query (a decode step) never builds a fused cache. A query of
-several rows (a prefill chunk or a training pass) sums each side's terms once
-instead, with the tape ops of `sharing.reconstruct`: folding would
-multiply its [s_q, s_k] score and value matmuls by the number of terms.
-Grouping is a free view of the queries as [..., H_kv, g·s_q, D]; no cache
-is ever repeated per query head. Both forms must match
-materialize-then-attend to 1e-12 (tests and `verify`).
+so a one-row query (a decode step) never builds a fused cache. They fold
+only where nothing records: with a tape open on the calling thread, or
+with several query rows (where folding would multiply the [s_q, s_k]
+matmuls by the number of terms), each side's terms are summed first with
+the tape ops of `sharing.reconstruct`. Grouping is a free view of the
+queries as [..., H_kv, g·s_q, D]; no cache is repeated per query head.
+Both forms match materialize-then-attend to 1e-12 (tests and `verify`).
 
-Each call is one tape op with a hand-written backward. Its one score slab
-is checked finite once, masked only in its last s_q columns and softmaxed
-in place, in the order of operations of a scores-softmax-values chain, so
-its results are bit for bit those of separate ops.
+Each call is one tape op whose hand-written backward covers one key and
+one value tensor. Its one score slab is checked finite once, masked only
+in its last s_q columns and softmaxed in place, in the order of operations
+of a scores-softmax-values chain: bit for bit the results of separate ops.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import reduce
 import numpy as np
 
 from .sharing import FoldedCache, LayerCache, _sum_terms
-from .tensor import DimensionError, Tensor, _check_finite, _unbroadcast, record_op
+from .tensor import DimensionError, Tensor, _active_tape, _check_finite, record_op
 
 # Not called here any more. The benchmark's tracer (perfbench/hooks.py)
 # wraps these names in this module by attribute, so they stay bound.
@@ -73,7 +73,8 @@ def _weighted(x: np.ndarray, weight: Tensor | None) -> np.ndarray:
 
 def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     """softmax(Σ_j (w_j ⊙ q)·K_jᵀ / √D, causal) · Σ_j V_j ⊙ b_j as one tape
-    op, with q viewed as [..., H_kv, g·s_q, D]."""
+    op, with q viewed as [..., H_kv, g·s_q, D]. Only a tape-free call passes
+    weights, so the backward covers one unweighted key and value term."""
     h_kv, s_k, depth = key_terms[0][0].shape[-3:]
     s_q, scale = q.shape[-2], 1.0 / math.sqrt(depth)
     qg = q.data.reshape(q.shape[:-3] + (h_kv, -1, depth))
@@ -86,33 +87,19 @@ def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    parts = [np.matmul(p, v.data) for v, _ in value_terms]
-    out = reduce(np.add, (_weighted(part, w) for part, (_, w) in zip(parts, value_terms)))
+    out = reduce(np.add, (_weighted(np.matmul(p, v.data), w) for v, w in value_terms))
+    (k, _), (v, _) = key_terms[0], value_terms[0]
 
     def backward(g):
         gg = g.reshape(out.shape)
-        gws = [_weighted(gg, w) for _, w in value_terms]
-        dp = reduce(np.add, (np.matmul(gw, np.swapaxes(v.data, -1, -2)) for gw, (v, _) in zip(gws, value_terms)))
-        value_grads = []
-        for gw, part, (_, w) in zip(gws, parts, value_terms):
-            value_grads.append(np.matmul(np.swapaxes(p, -1, -2), gw))
-            if w is not None:
-                value_grads.append(_unbroadcast(part * gg, w.shape))
+        dp = np.matmul(gg, np.swapaxes(v.data, -1, -2))
+        dv = np.matmul(np.swapaxes(p, -1, -2), gg)
         dp -= (p * dp).sum(axis=-1, keepdims=True)
         dz = scale * p * dp  # masked entries have p == 0
-        gks = [np.matmul(dz, k.data) for k, _ in key_terms]
-        key_grads = []
-        for gk, (_, w) in zip(gks, key_terms):
-            key_grads.append(np.matmul(np.swapaxes(dz, -1, -2), _weighted(qg, w)))
-            if w is not None:
-                key_grads.append(_unbroadcast(gk * qg, w.shape))
-        dq = reduce(np.add, (_weighted(gk, w) for gk, (_, w) in zip(gks, key_terms)))
-        return (dq.reshape(q.shape), *key_grads, *value_grads)
+        dk = np.matmul(np.swapaxes(dz, -1, -2), qg)
+        return np.matmul(dz, k.data).reshape(q.shape), dk, dv
 
-    parents = [q]
-    for tensor, w in (*key_terms, *value_terms):
-        parents += [tensor] if w is None else [tensor, w]
-    return record_op("attention", out.reshape(q.shape), parents, backward)
+    return record_op("attention", out.reshape(q.shape), (q, k, v), backward)
 
 
 def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
@@ -123,10 +110,11 @@ def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
     query row t attends to cache rows 0..s_k-s_q+t. Scores Σ_j (w_j ⊙ q)·K_jᵀ
     are scaled by 1/sqrt(D); the output is Σ_j (P·V_j) ⊙ b_j. A `LayerCache`
     is one unweighted term of keys and one of values. With more than one
-    query row, each side's terms are summed first. Returns [..., H_q, s_q, D].
+    query row, or while a tape records on this thread, each side's terms
+    are summed first; else they fold. Returns [..., H_q, s_q, D].
     """
     _check_terms(q, cache)
     key_terms, value_terms = cache.key_terms, cache.value_terms
-    if q.shape[-2] > 1:
+    if q.shape[-2] > 1 or _active_tape() is not None:
         key_terms, value_terms = ((_sum_terms(key_terms), None),), ((_sum_terms(value_terms), None),)
     return _attention(q, key_terms, value_terms)

@@ -31,6 +31,7 @@ from .costmodel import (
 )
 from .model import ModelConfig, build_model, fusion_weight_rows
 from .report import write_manifest, write_rows, write_train_report
+from .sharing import canonical_strategy
 from .training import DEFAULT_LEARNING_RATE, DEFAULT_PROMPT_LEN, TASK_NAMES, TrainingDivergedError, check_training, train
 from .verify import SUITES, run_suites
 
@@ -389,6 +390,9 @@ def _cmd_compare(args) -> int:
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
     configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
+    names = [canonical_strategy(strategy) for strategy in strategies]
+    if len(set(names)) < len(names):  # a repeat's files would overwrite the first run's
+        raise ConfigError(f"--strategies names {next(n for n in names if names.count(n) > 1)} twice")
     _check_training(args)
     summary_prompt = np.arange(min(16, args.vocab))  # each summary row decodes it plus 8 new tokens
     if summary_prompt.size + 8 > args.max_seq:  # --max-seq is every config's max_seq_len

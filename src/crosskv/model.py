@@ -16,11 +16,11 @@ writes a storage layer's first rows into a buffer of `max_seq_len` rows
 (`LayerCache.buffered`); each later chunk or step writes only its own
 rows (`LayerCache.append`). A reconstruction layer hands the attention
 kernel its sources' stored caches and fusion weights (`folded_cache`);
-the kernel folds them for a one-row step and sums them for a longer pass
-or chunk, so `sharing.reconstruct` stays an oracle for the tests. The
-queries handed to `attend(q, cache)` are the cache's last rows, and each
-attention call is one tape op. Training records on the gradient tape;
-decode runs tape-free.
+the kernel folds them only where nothing records (a tape-free one-row
+step) and sums them otherwise, so `sharing.reconstruct` stays an oracle.
+Whether a tape records on the thread decides buffering too: recording
+passes sum terms and keep tracked caches, tape-free ones fold and buffer.
+The queries handed to `attend(q, cache)` are the cache's last rows.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class DecoderModel:
         buffer of `max_seq_len` rows), or starts that entry, buffered when
         tape-free; the append is tape-free, so a taped pass starts from an
         empty dict. A reconstruction layer hands `attend` the stored caches
-        as weighted terms, which it folds for one row and sums for several."""
+        as weighted terms, folded for one tape-free row and summed else."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
         q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)

@@ -26,13 +26,15 @@ __all__ = [
 
 
 def code_version() -> str:
-    """git describe when running from a checkout, else the package version."""
+    """git describe of the checkout holding this package (whatever the
+    caller's working directory), else the package version."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
@@ -63,7 +65,7 @@ def host_details() -> dict:
     }
 
 
-def write_manifest(directory: Path, command: str, config: dict, seed) -> Path:
+def write_manifest(directory: Path, command: str, config: dict, seed) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "manifest.json"
     payload = {
@@ -74,34 +76,26 @@ def write_manifest(directory: Path, command: str, config: dict, seed) -> Path:
         "host": host_details(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
-def write_rows(directory: Path, name: str, columns, rows, mirror_json: bool = False) -> list[Path]:
+def write_rows(directory: Path, name: str, columns, rows, mirror_json: bool = False) -> None:
     """Write dict rows as CSV (and a JSON mirror when asked)."""
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = directory / f"{name}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(directory / f"{name}.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    written.append(csv_path)
     if mirror_json:
-        json_path = directory / f"{name}.json"
-        json_path.write_text(json.dumps(list(rows), indent=2) + "\n")
-        written.append(json_path)
-    return written
+        (directory / f"{name}.json").write_text(json.dumps(list(rows), indent=2) + "\n")
 
 
-def write_train_report(directory: Path, report, label: str = "", mirror_json: bool = False) -> list[Path]:
+def write_train_report(directory: Path, report, label: str = "", mirror_json: bool = False) -> None:
     """Serialize a TrainReport: loss curve, per-layer gradient norms, and
     the fusion-weight rows when the strategy has them."""
     prefix = f"{label}_" if label else ""
     loss_rows = [{"step": i, "loss": repr(loss)} for i, loss in enumerate(report.losses)]
-    files = write_rows(directory, f"{prefix}losses", ("step", "loss"), loss_rows, mirror_json)
-    files += write_rows(directory, f"{prefix}grad_norms", report.grad_norms[0], report.grad_norms, mirror_json)
+    write_rows(directory, f"{prefix}losses", ("step", "loss"), loss_rows, mirror_json)
+    write_rows(directory, f"{prefix}grad_norms", report.grad_norms[0], report.grad_norms, mirror_json)
     if report.fusion_weights is not None:
-        files += write_rows(directory, f"{prefix}fusion_weights", report.fusion_weights[0], report.fusion_weights, mirror_json)
-    return files
+        write_rows(directory, f"{prefix}fusion_weights", report.fusion_weights[0], report.fusion_weights, mirror_json)

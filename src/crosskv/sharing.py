@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rope import expand_pairs
-from .tensor import DimensionError, Tensor, _check_finite
+from .tensor import DimensionError, Tensor, _active_tape, _check_finite
 
 __all__ = [
     "DIRECT",
@@ -303,9 +303,9 @@ class LayerCache:
 
     def buffered(self, capacity: int) -> "LayerCache":
         """This cache's rows written into a fresh buffer of `capacity` rows,
-        so that appending to the result writes only the new rows. Tape-free:
-        a cache of tracked tensors is returned as it is."""
-        if self.keys.tape is not None or self.values.tape is not None:
+        so that appending to the result writes only the new rows. While a
+        tape records on this thread, the cache is returned as it is."""
+        if _active_tape() is not None:
             return self
         buf = _CacheBuffer(self.keys, capacity)
         buf.write(self.keys.data, self.values.data, self.layer)
@@ -337,9 +337,9 @@ class FoldedCache:
     """A reconstruction layer's keys and values left unsummed: each is a
     tuple of (stored tensor, weight or None) terms, and the cache they
     stand for is the sum of weight * tensor. `crosskv.attention.attend`
-    folds the weights into a one-row query and its output, so a decode step
-    never materializes the reconstructed cache; for several rows it sums
-    the terms once.
+    folds the weights into a one-row query and its output when nothing
+    records, so a decode step never materializes the reconstructed cache;
+    for several rows, or under a recording tape, it sums the terms once.
     """
 
     key_terms: tuple

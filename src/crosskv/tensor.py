@@ -306,17 +306,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcastable(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _broadcastable(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -326,8 +321,10 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _broadcastable(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     a_data, b_data = a.data, b.data
 
     def backward(g):

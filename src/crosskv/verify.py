@@ -129,6 +129,16 @@ def _numerics_checks() -> list[CheckResult]:
     sched = RopeSchedule(8)
     pos = np.array([0, 3, 1, 7, 2])
     cases.append(("rope", lambda: (apply_rope(r, pos, sched) * apply_rope(r, pos, sched)).sum(), [r]))
+    # The attention op at a prefill chunk's shape (3 query rows, 6 cache rows,
+    # 2 query heads per kv head), and one FusedKV row with its fusion weights.
+    arng = np.random.default_rng(12)
+    kv = [Tensor(arng.standard_normal((2, 6, 4))) for _ in range(6)]
+    cq, probe = Tensor(arng.standard_normal((4, 3, 4))), arng.standard_normal((4, 3, 4))
+    cases.append(("attend_chunk", lambda: (attend(cq, LayerCache(kv[0], kv[1], 1)) * probe).sum(), [cq, *kv[:2]]))
+    plan, fq = plan_for_strategy("FusedKV", 3, 2), Tensor(arng.standard_normal((4, 1, 4)))
+    fusion, stored = init_normal(plan, 4, arng), {1: LayerCache(kv[2], kv[3], 1), 2: LayerCache(kv[4], kv[5], 2)}
+    cases.append(("attend_fused_row", lambda: (attend(fq, folded_cache(plan, fusion, stored, 3)) * probe[:, :1]).sum(),
+                  [fq, *kv[2:], *fusion.values()]))
     worst = 0.0
     for name, f, params in cases:
         worst = max(worst, grad_check(f, params))

@@ -6,7 +6,7 @@ import pytest
 from crosskv.attention import attend
 from crosskv.rope import RopeSchedule, apply_rope
 from crosskv.sharing import FoldedCache, LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
-from crosskv.tensor import DimensionError, Tensor, grad_check
+from crosskv.tensor import DimensionError, Tape, Tensor, grad_check
 
 
 def cache_of(rng, h_kv, s, d, layer=1):
@@ -271,10 +271,24 @@ class TestFoldedKernel:
         # two query rows: the terms are summed on the tape, then attended
         assert self.weighted_fd_error(2, 15) < 1e-6
 
-    def test_one_row_folded_gradients_match_fd(self):
-        # one query row folds the weights: the hand-written backward of the
-        # attention op over every weighted term
+    def test_recording_one_row_gradients_match_fd(self):
+        # one query row under a recording tape sums the terms, as several
+        # rows do; the finite differences run tape-free, so they fold
         assert self.weighted_fd_error(1, 17) < 1e-6
+
+    @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion"])
+    def test_recording_one_row_matches_the_tape_free_fold(self, strategy):
+        rng = np.random.default_rng(18)
+        plan = plan_for_strategy(strategy, 4, 2)
+        weights = init_normal(plan, 8, 19)
+        stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in (1, 2)}
+        q = Tensor(rng.standard_normal((4, 1, 8)))
+        folded = attend(q, folded_cache(plan, weights, stored, 3))
+        with Tape() as tape:
+            tape.watch(q)
+            summed = attend(q, folded_cache(plan, weights, stored, 3))
+        assert folded.tape is None and summed.tape is tape
+        assert np.abs(summed.numpy() - folded.numpy()).max() < 1e-12
 
     def test_prefill_chunk_gradients_match_fd(self):
         # 3 query rows against 6 cache rows: the causal mask cuts only the

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import platform
+import shutil
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import crosskv.cli
 from crosskv.checkpoint import save_checkpoint
 from crosskv.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME, main
 from crosskv.model import ModelConfig, build_model
+from crosskv.report import code_version
 from crosskv.training import TrainingDivergedError
 
 TINY_MODEL = [
@@ -86,6 +89,18 @@ class TestTrainCommand:
         assert manifest["config"]["strategy"] == "YOCO"
         assert manifest["config"]["layers"] == 2
         assert "code_version" in manifest
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_code_version_ignores_the_working_directory(self, tmp_path, monkeypatch):
+        def git(*argv):
+            return subprocess.run(["git", *argv], cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+
+        git("init", "-q")
+        git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "--allow-empty", "-m", "other")
+        other = git("rev-parse", "HEAD").strip()
+        monkeypatch.chdir(tmp_path)
+        version = code_version()
+        assert version and not other.startswith(version.removesuffix("-dirty"))
 
     def test_json_mirror(self, tmp_path):
         args = ["train", "--seed", "1", "--steps", "2", "--batch-size", "2",
@@ -382,13 +397,15 @@ class TestNamedErrors:
             (["train", "--seed", "1", "--steps", "0"], "--steps"),
             (["train", "--seed", "1", "--steps", "2", "--eval-interval", "0"], "--eval-interval"),
             (["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--batch-size", "0"], "--batch-size"),
+            (["compare", "--strategies", "Vanilla,YOCO,mha", "--seed", "1"], "--strategies names Vanilla twice"),
             (["decode-bench", "--prompt-len", "0"], "--prompt-len"),
             (["decode-bench", "--strategies", ","], "--strategies"),
             (["decode-bench", "--new-tokens", "-1"], "--new-tokens"),
             (["train", "--seed", "1", "--steps", "abc"], "--steps"),
         ],
         ids=["cost-S-not-int", "cost-S-zero", "train-steps", "train-eval-interval", "compare-batch-size",
-             "decode-prompt-len", "decode-no-strategies", "decode-new-tokens", "train-steps-not-int"],
+             "compare-repeated-strategy", "decode-prompt-len", "decode-no-strategies", "decode-new-tokens",
+             "train-steps-not-int"],
     )
     def test_exits_one_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"

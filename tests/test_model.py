@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import crosskv.attention
 import crosskv.model
 import crosskv.sharing
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
-from crosskv.tensor import DimensionError, Tape
+from crosskv.tensor import DimensionError, Tape, _active_tape
 from crosskv.verify import _expected_parameter_count
 
 
@@ -362,6 +363,30 @@ class TestDecode:
                 tape.watch(p)
             tape.backward(m.forward_loss(tokens))
         m.decode(tokens[0], 4)
+
+    @pytest.mark.parametrize("strategy", ["FusedKV", "DenseFusion"])
+    def test_weighted_terms_reach_the_attention_op_only_tape_free(self, strategy, monkeypatch):
+        # a recording pass sums the fusion terms first; a decode step folds them
+        calls = []
+        op = crosskv.attention._attention
+
+        def spy(q, key_terms, value_terms):
+            weighted = any(w is not None for _, w in (*key_terms, *value_terms))
+            calls.append((weighted, _active_tape() is not None))
+            return op(q, key_terms, value_terms)
+
+        monkeypatch.setattr(crosskv.attention, "_attention", spy)
+        m = build_model(small_cfg(strategy), seed=21)
+        tokens = np.random.default_rng(22).integers(0, 16, size=(2, 7))
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            tape.backward(m.forward_loss(tokens))
+            m.forward_logits(tokens[:, :1])  # one row, recording
+        assert calls and all(taped and not weighted for weighted, taped in calls)
+        calls.clear()
+        m.decode(tokens[0], 4)
+        assert any(weighted for weighted, _ in calls) and not any(taped for _, taped in calls)
 
 
 class TestHeatmap:

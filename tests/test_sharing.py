@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,17 @@ class TestLayerCacheAppend:
         with Tape() as tape:
             tape.watch(cache.values)
             assert cache.buffered(capacity=8) is cache
+
+    def test_open_tape_decides_buffering_per_thread(self):
+        # the rule is whether this thread records, not whether the tensors are tracked
+        cache, other = rows_cache(0, 3), []
+        with Tape():
+            assert cache.buffered(capacity=8) is cache
+            worker = threading.Thread(target=lambda: other.append(cache.buffered(capacity=8)))
+            worker.start()
+            worker.join()
+        assert other[0] is not cache and other[0]._buffer is not None
+        np.testing.assert_array_equal(other[0].keys.numpy(), cache.keys.numpy())
 
     def test_larger_capacity_moves_to_a_fresh_buffer(self):
         full = rows_cache(0, 3).append(rows_cache(3, 2), capacity=5)

@@ -409,6 +409,11 @@ class TestBroadcastGradients:
         assert grad_check(lambda: (op(row, full) * w).sum(), [row, full]) < 1e-8
         assert grad_check(lambda: (op(full, row) * w).sum(), [row, full]) < 1e-8
 
+    @pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+    def test_shapes_that_do_not_broadcast_are_named(self, op):
+        with pytest.raises(DimensionError, match=rf"^{op.__name__}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+            op(rand(2, 3), rand(4))
+
 
 class TestStructuralOps:
     def test_repeat_groups_and_gradient(self):
