@@ -24,9 +24,13 @@ queries as [..., H_kv, g·s_q, D]; no cache is repeated per query head.
 Both forms match materialize-then-attend to 1e-12 (tests and `verify`).
 
 Each call is one tape op whose hand-written backward covers one key and
-one value tensor. Its one score slab is checked finite once, masked only
-in its last s_q columns and softmaxed in place, in the order of operations
-of a scores-softmax-values chain: bit for bit the results of separate ops.
+one value tensor. The queries are scaled by 1/√D before the score matmul;
+the one score slab is checked finite, masked only in its last s_q columns
+and exponentiated in place, and the [.., s_q, D] output is divided by the
+slab's row sums, as FlashAttention (arXiv 2205.14135) orders it: no pass
+scales or divides the slab, and the backward divides its small gradients
+by the row sums in its place. The results match a scores-softmax-values
+chain of separate ops to roundoff (the loop oracle in the tests, 1e-12).
 """
 
 from __future__ import annotations
@@ -78,23 +82,26 @@ def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     h_kv, s_k, depth = key_terms[0][0].shape[-3:]
     s_q, scale = q.shape[-2], 1.0 / math.sqrt(depth)
     qg = q.data.reshape(q.shape[:-3] + (h_kv, -1, depth))
-    p = reduce(np.add, (np.matmul(_weighted(qg, w), np.swapaxes(k.data, -1, -2)) for k, w in key_terms))
-    _check_finite(p, "attention scores")
-    p *= scale
+    qs = qg * scale
+    p = reduce(np.add, (np.matmul(_weighted(qs, w), np.swapaxes(k.data, -1, -2)) for k, w in key_terms))
+    _check_finite(p, "attention scores")  # exp(-inf) below is a finite 0
     if s_q > 1:  # query row t sees cache rows up to s_k - s_q + t
         newest = p.reshape(p.shape[:-2] + (-1, s_q, s_k))[..., s_k - s_q :]
         np.copyto(newest, -np.inf, where=~np.tri(s_q, dtype=bool))
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    rows = p.sum(axis=-1, keepdims=True)
     out = reduce(np.add, (_weighted(np.matmul(p, v.data), w) for v, w in value_terms))
+    out /= rows
     (k, _), (v, _) = key_terms[0], value_terms[0]
 
     def backward(g):
-        gg = g.reshape(out.shape)
+        # P = p / rows is never formed: the row sums divide the small
+        # [.., s_q, D] gradient instead, and dp below is dL/dP / rows
+        gg = g.reshape(out.shape) / rows
         dp = np.matmul(gg, np.swapaxes(v.data, -1, -2))
         dv = np.matmul(np.swapaxes(p, -1, -2), gg)
-        dp -= (p * dp).sum(axis=-1, keepdims=True)
+        dp -= (p * dp).sum(axis=-1, keepdims=True) / rows
         dz = scale * p * dp  # masked entries have p == 0
         dk = np.matmul(np.swapaxes(dz, -1, -2), qg)
         return np.matmul(dz, k.data).reshape(q.shape), dk, dv

@@ -403,20 +403,20 @@ def _cmd_compare(args) -> int:
                    args.seed)
     summaries = []
     losses: dict[str, list[float]] = {}
-    for strategy, cfg in zip(strategies, configs):
+    for name, cfg in zip(names, configs):  # artifacts go by canonical name
         try:
             model, report = _train_model(args, cfg)
         except TrainingDivergedError as e:
             # keep the artifacts of the finished members
-            print(f"compare: {strategy} diverged at step {e.step}; partial artifacts kept", file=sys.stderr)
-            _write_compare_files(outdir, strategies, losses, summaries, mirror)
+            print(f"compare: {name} diverged at step {e.step}; partial artifacts kept", file=sys.stderr)
+            _write_compare_files(outdir, names, losses, summaries, mirror)
             return EXIT_RUNTIME
-        write_train_report(outdir, report, label=strategy, mirror_json=mirror)
-        losses[strategy] = report.losses
+        write_train_report(outdir, report, label=name, mirror_json=mirror)
+        losses[name] = report.losses
         res = model.decode(summary_prompt, 8)
         summaries.append(
             {
-                "strategy": strategy,
+                "strategy": name,
                 "initial_loss": repr(report.losses[0]),
                 "final_loss": repr(report.final_loss),
                 "peak_cache_elements": res.peak_cache_elements,
@@ -424,7 +424,7 @@ def _cmd_compare(args) -> int:
                 "note": "losses reported, not gated",
             }
         )
-    _write_compare_files(outdir, strategies, losses, summaries, mirror)
+    _write_compare_files(outdir, names, losses, summaries, mirror)
     for s in summaries:
         print(
             f"compare {s['strategy']}: final_loss={float(s['final_loss']):.4f} "

@@ -18,8 +18,12 @@ rows (`LayerCache.append`). A reconstruction layer hands the attention
 kernel its sources' stored caches and fusion weights (`folded_cache`);
 the kernel folds them only where nothing records (a tape-free one-row
 step) and sums them otherwise, so `sharing.reconstruct` stays an oracle.
-Whether a tape records on the thread decides buffering too: recording
-passes sum terms and keep tracked caches, tape-free ones fold and buffer.
+Whether a tape records on the thread decides buffering and finiteness
+checks too: recording passes sum terms, keep tracked caches and check
+every op's result; tape-free ones fold, buffer, and check each block's
+output once, re-running a block that fails with every op checked so the
+`EvaluationError` still names the op (`_checked_once`). The logits, the
+prefill chunks and the cache appends are checked either way.
 The queries handed to `attend(q, cache)` are the cache's last rows.
 """
 
@@ -47,6 +51,8 @@ from .tensor import (
     DimensionError,
     EvaluationError,
     Tensor,
+    _active_tape,
+    _unchecked_ops,
     cross_entropy,
     embed,
     matmul,
@@ -249,10 +255,33 @@ class DecoderModel:
         every layer's `_block` with the storage caches in `caches`."""
         return self._layers(embed(self.params["embed"], tokens), positions, caches)
 
+    def _checked_once(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+        """`_block` with its ops' finite checks left to one check of its
+        output (tape-free passes). On a non-finite output, or an error from
+        a check the ops still make, caches[i] goes back to what it was and
+        the block runs again checking every op, so the error names the op."""
+        before = caches.get(i)
+        try:
+            with _unchecked_ops(), np.errstate(all="ignore"):
+                out = self._block(i, x, positions, caches)
+            if np.isfinite(out.data).all():
+                return out
+        except EvaluationError:
+            pass
+        if before is None:
+            caches.pop(i, None)
+        else:
+            caches[i] = before
+        self._block(i, x, positions, caches)
+        raise EvaluationError(f"layer {i}: block output contains non-finite entries")
+
     def _layers(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
-        """`_forward` after the embedding: logits for the rows of `x`."""
+        """`_forward` after the embedding: logits for the rows of `x`. A
+        taped pass checks every op's result finite; a tape-free one checks
+        each block's output once (`_checked_once`)."""
+        block = self._block if _active_tape() is not None else self._checked_once
         for i in range(1, self.cfg.n_layers + 1):
-            x = self._block(i, x, positions, caches)
+            x = block(i, x, positions, caches)
         h = rmsnorm(x, self.params["final_norm"])
         return matmul(h, self.params["unembed"])
 

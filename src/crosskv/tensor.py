@@ -15,14 +15,22 @@ Conventions:
     cache's row prefix `buf[..., :n, :]` of a preallocated buffer
     (`sharing.LayerCache.buffered` and `append`), read-only and never
     written again,
-  - float64 is the default dtype (float32 is opt-in for training),
-  - every exposed operation produces finite values or raises
-    `EvaluationError`.
+  - float64 is the default dtype (float32 is opt-in for training;
+    longdouble serves `grad_check`'s finite differences),
+  - non-finite values raise `EvaluationError` naming the op that made
+    them. Each op checks its result, except inside `_unchecked_ops`:
+    there the caller checks what the block gives back once (a tape-free
+    decoder layer, `model.DecoderModel._checked_once`), and on a
+    non-finite value re-runs it with each op checking. The ops that could
+    turn a non-finite input into a finite output check that input on
+    their own: `rmsnorm`'s mean square, the attention scores before their
+    exp, and a cache append.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,9 +53,16 @@ __all__ = [
     "cross_entropy",
     "grad_check",
     "record_op",
+    "FD_DTYPE",
 ]
 
 RMSNORM_EPS = 1e-6
+
+# `grad_check`'s finite-difference dtype: 80-bit extended on x86-64 Linux
+# (eps 1.1e-19); where longdouble is float64, the oracle runs in float64.
+FD_DTYPE = np.dtype(np.longdouble)
+# float32 and float64 for models; FD_DTYPE for `grad_check`'s finite differences.
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64), FD_DTYPE)
 
 
 class DimensionError(ValueError):
@@ -83,7 +98,7 @@ class Tensor:
         arr = np.array(data, dtype=dtype, order="C")
         if arr.dtype.kind in "iub":
             arr = arr.astype(np.float64)
-        if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        if arr.dtype not in _DTYPES:
             raise TypeError(f"unsupported dtype {arr.dtype}; use float32 or float64")
         if any(e <= 0 for e in arr.shape):
             raise DimensionError(f"extents must be positive, got shape {arr.shape}")
@@ -99,7 +114,8 @@ class Tensor:
         t = object.__new__(cls)
         if arr.size == 0:  # numpy extents are nonnegative, so this is `any extent == 0`
             raise DimensionError(f"{op}: extents must be positive, got {arr.shape}")
-        _check_finite(arr, op)
+        if _THREAD.check_ops:
+            _check_finite(arr, op)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -174,19 +190,35 @@ class Node:
         self.shape = shape
 
 
-class _TapeStack(threading.local):
-    """Active tapes of the calling thread, innermost last."""
+class _ThreadState(threading.local):
+    """The calling thread's active tapes, innermost last, and whether each
+    op checks its own result finite."""
 
     def __init__(self):
         self.tapes: list["Tape"] = []
+        self.check_ops = True
 
 
-_TAPE_STACK = _TapeStack()
+_THREAD = _ThreadState()
 
 
 def _active_tape() -> "Tape | None":
-    tapes = _TAPE_STACK.tapes
+    tapes = _THREAD.tapes
     return tapes[-1] if tapes else None
+
+
+@contextmanager
+def _unchecked_ops():
+    """On the calling thread, ops skip the finite check of their results
+    (`record_op`), and the caller checks what the block gives back. The
+    checks ops make of their own (`rmsnorm`'s mean square, the attention
+    scores, a cache append) still run."""
+    state = _THREAD
+    before, state.check_ops = state.check_ops, False
+    try:
+        yield
+    finally:
+        state.check_ops = before
 
 
 class Tape:
@@ -200,11 +232,11 @@ class Tape:
         self._grads: list[np.ndarray | None] | None = None
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.tapes.append(self)
+        _THREAD.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.tapes.pop()
+        popped = _THREAD.tapes.pop()
         assert popped is self, "tape contexts must nest"
 
     def watch(self, t: Tensor) -> Tensor:
@@ -550,9 +582,12 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
     """Max relative error between autodiff and central finite differences.
 
     `f` is a zero-argument callable that recomputes a scalar from the
-    current contents of `params`. The finite-difference side perturbs each
-    parameter entry in place (restoring it), so it is independent of the
-    tape. Returns max over entries of |ad - fd| / (|fd| + 1e-8).
+    current contents of `params`. Autodiff runs in float64. The
+    finite-difference side is independent of the tape: for its loop each
+    parameter's buffer is swapped for a `FD_DTYPE` copy, perturbed in place
+    entry by entry, and the float64 buffers are restored afterwards, so the
+    loss difference over 2h keeps the digits float64 would round away.
+    Returns max over entries of |ad - fd| / (|fd| + 1e-8).
     """
     if not (1e-6 <= h <= 1e-4):
         raise ValueError(f"step h={h} outside [1e-6, 1e-4]")
@@ -572,24 +607,23 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
         else:  # constant objective: every gradient is zero
             auto = [np.zeros(p.shape) for p in params]
 
+    saved = [p.data for p in params]
     worst = 0.0
-    for p, g in zip(params, auto):
-        buf = p.data
-        buf.setflags(write=True)
-        flat = buf.reshape(-1)
-        gflat = g.reshape(-1)
-        try:
+    try:
+        for p in params:
+            p.data = p.data.astype(FD_DTYPE)  # a writable copy
+        for p, g in zip(params, auto):
+            flat, gflat = p.data.reshape(-1), g.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                fp = f().item()
+                fp = f().data.reshape(())
                 flat[idx] = orig - h
-                fm = f().item()
+                fm = f().data.reshape(())
                 flat[idx] = orig
-                numeric = (fp - fm) / (2.0 * h)
-                rel = abs(gflat[idx] - numeric) / (abs(numeric) + 1e-8)
-                if rel > worst:
-                    worst = rel
-        finally:
-            buf.setflags(write=False)
+                numeric = (fp - fm) / (2.0 * h)  # FD_DTYPE: .item() would round to float64 first
+                worst = max(worst, float(abs(gflat[idx] - numeric) / (abs(numeric) + 1e-8)))
+    finally:
+        for p, data in zip(params, saved):
+            p.data = data
     return worst

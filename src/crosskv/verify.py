@@ -35,7 +35,7 @@ from .sharing import (
     reconstruct,
     sample_iterative_weights,
 )
-from .tensor import Tape, Tensor, grad_check, masked_softmax, matmul, rmsnorm, swiglu
+from .tensor import FD_DTYPE, Tape, Tensor, grad_check, masked_softmax, matmul, rmsnorm, swiglu
 
 __all__ = [
     "CheckResult",
@@ -108,6 +108,13 @@ def _causal(s: int) -> np.ndarray:
     return np.tril(np.ones((s, s), dtype=bool))
 
 
+def _fd_oracle() -> str:
+    """The dtype `grad_check`'s finite differences run in, for the details of the FD checks."""
+    eps = np.finfo(FD_DTYPE).eps
+    note = "" if eps < np.finfo(np.float64).eps else ", no wider than float64: the float64 oracle"
+    return f"FD in longdouble ({FD_DTYPE.name}, eps {eps:.1e}{note})"
+
+
 def _numerics_checks() -> list[CheckResult]:
     out = []
     rng = np.random.default_rng(11)
@@ -139,10 +146,11 @@ def _numerics_checks() -> list[CheckResult]:
     fusion, stored = init_normal(plan, 4, arng), {1: LayerCache(kv[2], kv[3], 1), 2: LayerCache(kv[4], kv[5], 2)}
     cases.append(("attend_fused_row", lambda: (attend(fq, folded_cache(plan, fusion, stored, 3)) * probe[:, :1]).sum(),
                   [fq, *kv[2:], *fusion.values()]))
-    worst = 0.0
-    for name, f, params in cases:
-        worst = max(worst, grad_check(f, params))
-    out.append(_result("numerics", "op_backward_matches_fd", worst < 1e-4, f"max rel err {worst:.2e}"))
+    errors = {name: grad_check(f, params) for name, f, params in cases}
+    worst = max(errors, key=errors.get)
+    over = [name for name, err in errors.items() if not err < 1e-4]
+    detail = f"max rel err {errors[worst]:.2e} ({worst}); over 1e-4: {', '.join(over) or 'none'}; {_fd_oracle()}"
+    out.append(_result("numerics", "op_backward_matches_fd", not over, detail))
 
     # Causal normalization: exactly lower-triangular, unit row sums.
     p = masked_softmax(Tensor(rng.standard_normal((9, 9))), _causal(9), 0.5).numpy()
@@ -341,7 +349,7 @@ def _sharing_checks() -> list[CheckResult]:
     tokens = np.random.default_rng(9).integers(0, 7, size=(1, 5))
     fusion_params = [p for name, p in model.parameters() if name.startswith("fusion.")]
     err = grad_check(lambda: model.forward_loss(tokens), fusion_params)
-    out.append(_result("sharing", "fusion_weight_gradients_match_fd", err < 1e-4, f"rel err {err:.2e}"))
+    out.append(_result("sharing", "fusion_weight_gradients_match_fd", err < 1e-4, f"rel err {err:.2e}; {_fd_oracle()}"))
 
     # Memory accounting: persistent caches == storage layers; half for L/2 plans.
     ok = True
@@ -492,7 +500,7 @@ def _model_checks() -> list[CheckResult]:
         err = grad_check(lambda: m.forward_loss(tokens), [p for _, p in m.parameters()])
         per.append(f"{strategy}:{err:.1e}")
         worst = max(worst, err)
-    out.append(_result("model", "full_model_gradients_match_fd", worst < 1e-4, " ".join(per)))
+    out.append(_result("model", "full_model_gradients_match_fd", worst < 1e-4, " ".join(per) + f"; {_fd_oracle()}"))
 
     # Incremental decode of 32 + 16 tokens equals full recompute.
     worst, lengths_ok = 0.0, True

@@ -57,6 +57,17 @@ class TestAttend:
         want = loop_attention(q.numpy(), cache.keys.numpy(), cache.values.numpy(), 2, np.arange(2), np.arange(2))
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("n_kv_heads", [8, 2])
+    def test_prefill_chunk_at_the_serving_shape_matches_loop_oracle(self, n_kv_heads):
+        # decode_long's third chunk: 128 query rows over 384 cache rows, 8 query heads, D = 32
+        rng = np.random.default_rng([23, n_kv_heads])
+        cache = cache_of(rng, n_kv_heads, 384, 32)
+        q = Tensor(rng.standard_normal((8, 128, 32)))
+        got = attend(q, cache).numpy()
+        k, v = cache.keys.numpy(), cache.values.numpy()
+        want = loop_attention(q.numpy(), k, v, 8 // n_kv_heads, np.arange(256, 384), np.arange(384))
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_causality_by_absolute_position(self):
         rng = np.random.default_rng(3)
         cache = cache_of(rng, 2, 5, 4)

@@ -336,6 +336,18 @@ class TestCompareCommand:
         assert losses[0] == "step,Vanilla,YOCO,FusedKV,FusedKV-Lite"
         assert len(losses) == 4  # header + 3 steps
 
+    def test_artifacts_use_canonical_names(self, tmp_path):
+        args = ["compare", "--strategies", "mha,yoco", "--steps", "2", "--seed", "4", "--batch-size", "2",
+                "--prompt-len", "4", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_OK
+        assert (tmp_path / "Vanilla_losses.csv").exists() and (tmp_path / "YOCO_losses.csv").exists()
+        assert not list(tmp_path.glob("mha_*")) and not list(tmp_path.glob("yoco_*"))
+        assert (tmp_path / "compare_losses.csv").read_text().splitlines()[0] == "step,Vanilla,YOCO"
+        with open(tmp_path / "compare_summary.csv") as fh:
+            assert [row["strategy"] for row in csv.DictReader(fh)] == ["Vanilla", "YOCO"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["strategies"] == ["mha", "yoco"]  # as typed
+
     def test_second_strategy_diverging_keeps_the_first(self, tmp_path, monkeypatch, capsys):
         real, calls = crosskv.cli.train, []
 

@@ -8,10 +8,11 @@ import pytest
 import crosskv.attention
 import crosskv.model
 import crosskv.sharing
+import crosskv.tensor
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
-from crosskv.tensor import DimensionError, Tape, _active_tape
+from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape
 from crosskv.verify import _expected_parameter_count
 
 
@@ -387,6 +388,105 @@ class TestDecode:
         calls.clear()
         m.decode(tokens[0], 4)
         assert any(weighted for weighted, _ in calls) and not any(taped for _, taped in calls)
+
+
+def overflowing(m, name="layer3.w_in"):
+    """`m` with every entry of parameter `name` at 1e308: its matmul overflows."""
+    m.params[name] = Tensor(np.full(m.params[name].shape, 1e308))
+    return m
+
+
+class TestFiniteChecks:
+    """Tape-free passes check each block's output once; taped passes check every op."""
+
+    @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV"])
+    @pytest.mark.parametrize("name", ["layer3.w_in", "layer1.w_v"])
+    def test_tape_free_overflow_names_the_op(self, strategy, name):
+        # an overflowed w_v first trips the cache append's own check; the
+        # re-run with per-op checks still names the matmul
+        m = overflowing(build_model(small_cfg(strategy), seed=30), name)
+        tokens = np.arange(6) % 16
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            with pytest.raises(EvaluationError, match="^matmul:"):
+                m.decode(tokens, 3)
+            with pytest.raises(EvaluationError, match="^matmul:"):
+                m.forward_logits(tokens)
+
+    def test_failed_step_leaves_the_caches_usable(self):
+        m = build_model(small_cfg(), seed=31)
+        prompt, good = np.arange(9) % 16, m.params["layer3.w_in"]
+        caches: dict = {}
+        m._forward(prompt[None], np.arange(9), caches)
+        before = dict(caches)
+        overflowing(m)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError, match="^matmul:"):
+            m._forward(np.array([[5]]), np.array([9]), caches)
+        m.params["layer3.w_in"] = good
+        for i, cache in caches.items():
+            rows = cache.keys.numpy()[..., :9, :]
+            assert np.array_equal(rows, before[i].keys.numpy()) and np.isfinite(cache.keys.numpy()).all()
+        # the caches from before the failed step still extend as an unbroken run does
+        fresh: dict = {}
+        m._forward(prompt[None], np.arange(9), fresh)
+        want = m._forward(np.array([[5]]), np.array([9]), fresh).numpy()
+        got = m._forward(np.array([[5]]), np.array([9]), before).numpy()
+        assert np.array_equal(got, want)
+
+    def test_taped_pass_raises_at_the_op(self, monkeypatch):
+        m = overflowing(build_model(small_cfg("FusedKV"), seed=32))
+        once = []
+        monkeypatch.setattr(m, "_checked_once", lambda *a: once.append(a))
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="^matmul:"):
+                m.forward_loss(np.arange(6)[None] % 16)
+        assert once == []
+
+    def test_rerun_that_passes_names_the_layer(self, monkeypatch):
+        m = build_model(small_cfg(), seed=33)
+        block = m._block
+
+        def nan_when_unchecked(i, x, positions, caches):
+            out = block(i, x, positions, caches)
+            if i == 2 and not crosskv.tensor._THREAD.check_ops:
+                return Tensor._adopt_rows(np.full(out.shape, np.nan))
+            return out
+
+        monkeypatch.setattr(m, "_block", nan_when_unchecked)
+        with pytest.raises(EvaluationError, match="^layer 2: block output"):
+            m.decode(np.arange(4), 1)
+
+    def test_checks_per_op_only_under_a_tape(self, monkeypatch):
+        checks, unchecked = [], []
+        check, wrap = crosskv.tensor._check_finite, Tensor._wrap.__func__
+
+        def counted(arr, op):
+            checks.append(op)
+            check(arr, op)
+
+        def spied_wrap(cls, arr, op):
+            n = len(checks)
+            out = wrap(cls, arr, op)
+            if len(checks) == n:
+                unchecked.append(op)
+            return out
+
+        for module in (crosskv.tensor, crosskv.attention, crosskv.sharing):
+            monkeypatch.setattr(module, "_check_finite", counted)
+        monkeypatch.setattr(Tensor, "_wrap", classmethod(spied_wrap))
+        m = build_model(ModelConfig(), seed=34)  # the toy shape: 8 layers, all storing
+        caches: dict = {}
+        m._forward(np.arange(10)[None], np.arange(10), caches)
+        checks.clear()
+        m._forward(np.array([[3]]), np.array([10]), caches)
+        assert len(checks) <= 50 and unchecked  # parent: 188 checks, one per op
+        unchecked.clear()
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            m.forward_loss(np.arange(10)[None])
+        assert unchecked == []
 
 
 class TestHeatmap:

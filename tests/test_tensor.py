@@ -21,6 +21,7 @@ from crosskv.tensor import (
     rmsnorm,
     swiglu,
     _sigmoid,
+    _unchecked_ops,
 )
 
 
@@ -295,6 +296,21 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda: (x * x).sum(), [x], h=1e-3)
 
+    def test_finite_differences_keep_digits_float64_rounds_away(self):
+        # x*x + 1e6 at x = 1e-3: float64 rounds the loss to ~1e-10, as large
+        # as the change 4e-8 that 2h = 2e-5 makes, so its difference is useless
+        h, x0 = 1e-5, 1e-3
+        in_float64 = (((x0 + h) ** 2 + 1e6) - ((x0 - h) ** 2 + 1e6)) / (2 * h)
+        assert abs(in_float64 - 2 * x0) / (2 * x0) > 1e-4
+        x = Tensor([x0])
+        assert grad_check(lambda: (x * x).sum() + 1e6, [x], h=h) < 1e-4
+
+    def test_parameters_get_their_buffers_back(self):
+        x = Tensor([1.0, 2.0])
+        before = x.numpy()
+        grad_check(lambda: (x * x).sum(), [x])
+        assert x.numpy() is before and x.dtype == np.float64 and not before.flags.writeable
+
     def test_requires_double_precision(self):
         x = Tensor(np.ones(2, dtype=np.float32))
         with pytest.raises(ValueError):
@@ -398,6 +414,36 @@ class TestTapeThreads:
         assert not t.is_alive()
         assert outcome == ["ok"]
         assert len(mine.nodes) == 3
+
+
+class TestUncheckedOps:
+    def test_unchecked_block_on_one_thread_leaves_another_checking(self):
+        inside, release = threading.Event(), threading.Event()
+        outcome = []
+
+        def unchecked():
+            with _unchecked_ops():
+                with np.errstate(over="ignore"):
+                    outcome.append(np.isinf((Tensor([1e300]) * Tensor([1e300])).numpy()).all())
+                inside.set()
+                release.wait(timeout=30)
+
+        t = threading.Thread(target=unchecked)
+        t.start()
+        try:
+            assert inside.wait(timeout=30)
+            with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="^mul:"):
+                Tensor([1e300]) * Tensor([1e300])
+        finally:
+            release.set()
+            t.join(timeout=30)
+        assert not t.is_alive() and outcome == [True]
+
+    def test_checks_resume_after_the_block_raises(self):
+        with pytest.raises(KeyError), _unchecked_ops():
+            raise KeyError("inside")
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="^mul:"):
+            Tensor([1e300]) * Tensor([1e300])
 
 
 class TestBroadcastGradients:

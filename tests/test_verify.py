@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 import crosskv.verify
 from crosskv.costmodel import LatencyEstimate
+from crosskv.tensor import record_op
 from crosskv.verify import SUITES, run_suite
 
 
@@ -29,3 +31,26 @@ def test_regime_ratios_fail_when_no_device_is_in_a_regime(monkeypatch):
     monkeypatch.setattr(crosskv.verify, "roofline_latency", swapped)
     result = next(r for r in run_suite("costmodel") if r.name == "regime_ratios_device_free")
     assert not result.passed
+
+
+def test_op_backward_check_names_the_failing_op(monkeypatch):
+    # swiglu's forward as it is, its gradient doubled by one extra tape op
+    real = crosskv.verify.swiglu
+
+    def doubled_backward(x):
+        out = real(x)
+        return record_op("swiglu", out.numpy().copy(), (out,), lambda g: (2.0 * g,))
+
+    monkeypatch.setattr(crosskv.verify, "swiglu", doubled_backward)
+    result = next(r for r in run_suite("numerics") if r.name == "op_backward_matches_fd")
+    assert not result.passed
+    assert "(swiglu); over 1e-4: swiglu;" in result.detail
+
+
+def test_fd_checks_name_their_dtype(monkeypatch):
+    detail = next(r for r in run_suite("numerics") if r.name == "op_backward_matches_fd").detail
+    assert detail.endswith(crosskv.verify._fd_oracle())
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        assert crosskv.verify._fd_oracle().endswith(f"eps {np.finfo(np.longdouble).eps:.1e})")
+    monkeypatch.setattr(crosskv.verify, "FD_DTYPE", np.dtype(np.float64))  # as on a host without extended precision
+    assert crosskv.verify._fd_oracle() == "FD in longdouble (float64, eps 2.2e-16, no wider than float64: the float64 oracle)"
