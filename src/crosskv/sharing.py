@@ -239,15 +239,16 @@ def plan_for_strategy(strategy: str, n_layers: int, middle: int | None = None) -
 
 
 class _CacheBuffer:
-    """Writable K and V storage of one layer at a fixed row capacity, and
-    how many rows are written. Rows below `rows` never change again."""
+    """Writable K and V storage of one layer at a fixed row capacity, each
+    in the dtype of the cache it holds, and how many rows are written. Rows
+    below `rows` never change again."""
 
     __slots__ = ("keys", "values", "rows")
 
-    def __init__(self, like: Tensor, capacity: int):
-        shape = like.shape[:-2] + (capacity, like.shape[-1])
-        self.keys = np.empty(shape, dtype=like.dtype)
-        self.values = np.empty(shape, dtype=like.dtype)
+    def __init__(self, like: "LayerCache", capacity: int):
+        shape = like.keys.shape[:-2] + (capacity, like.keys.shape[-1])
+        self.keys = np.empty(shape, dtype=like.keys.dtype)
+        self.values = np.empty(shape, dtype=like.values.dtype)
         self.rows = 0
 
     def write(self, keys: np.ndarray, values: np.ndarray, layer: int) -> None:
@@ -307,7 +308,7 @@ class LayerCache:
         tape records on this thread, the cache is returned as it is."""
         if _active_tape() is not None:
             return self
-        buf = _CacheBuffer(self.keys, capacity)
+        buf = _CacheBuffer(self, capacity)
         buf.write(self.keys.data, self.values.data, self.layer)
         return buf.cache(self.layer)
 
@@ -322,11 +323,12 @@ class LayerCache:
         n, m = self.length, new.length
         if new.keys.shape[:-2] != self.keys.shape[:-2] or new.keys.shape[-1] != self.keys.shape[-1]:
             raise DimensionError(f"layer {self.layer}: cannot append {new.keys.shape} to {self.keys.shape}")
-        if new.keys.dtype != self.keys.dtype:
-            raise TypeError(f"layer {self.layer}: cannot append {new.keys.dtype} rows to a {self.keys.dtype} cache")
+        for side, rows, cache in (("key", new.keys, self.keys), ("value", new.values, self.values)):
+            if rows.dtype != cache.dtype:
+                raise TypeError(f"layer {self.layer}: cannot append {rows.dtype} {side} rows to a {cache.dtype} cache")
         buf = self._buffer
         if buf is None or buf.rows != n or buf.keys.shape[-2] < n + m:
-            buf = _CacheBuffer(self.keys, capacity)
+            buf = _CacheBuffer(self, capacity)
             buf.write(self.keys.data, self.values.data, self.layer)
         buf.write(new.keys.data, new.values.data, self.layer)
         return buf.cache(self.layer)

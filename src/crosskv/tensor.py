@@ -5,7 +5,9 @@ wrapper over a row-major numpy array. When a `Tape` is active (used as a
 context manager), every operation on a watched tensor records a `Node`;
 nodes are appended in execution order, so the tape is a DAG already in
 topological order and `Tape.backward` is a single reverse sweep that
-visits each node exactly once.
+visits each node exactly once. Gradients are read-only arrays: the sweep
+stores a node's first contribution without copying it and adds later ones
+out of place, so an array one backward hands to two parents stays whole.
 
 Outside a tape, the same functions are plain (and fast) numpy calls, which
 is the path incremental decoding uses.
@@ -15,6 +17,8 @@ Conventions:
     cache's row prefix `buf[..., :n, :]` of a preallocated buffer
     (`sharing.LayerCache.buffered` and `append`), read-only and never
     written again,
+  - a `matmul` by a 2-D weight is one GEMM over the rows of all leading
+    axes, forward and backward; only other shapes batch per slice,
   - float64 is the default dtype (float32 is opt-in for training;
     longdouble serves `grad_check`'s finite differences),
   - non-finite values raise `EvaluationError` naming the op that made
@@ -252,13 +256,20 @@ class Tape:
         return len(self.nodes) - 1
 
     def backward(self, out: Tensor) -> None:
-        """Reverse sweep from `out` (a tracked scalar); fills gradient slots."""
+        """Reverse sweep from `out` (a tracked scalar); fills gradient slots.
+
+        A node's first gradient contribution is kept as it is, not copied;
+        later ones are added out of place. An op's backward may hand one
+        array to several parents (`add` gives both the gradient it got), so
+        every stored gradient is flagged read-only and never written."""
         if out.tape is not self or out.node_id is None:
             raise ValueError("backward target is not tracked on this tape")
         if out.size != 1:
             raise DimensionError(f"backward target must be scalar, got {out.shape}")
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
-        grads[out.node_id] = np.ones(out.shape, dtype=out.dtype)
+        seed = np.ones(out.shape, dtype=out.dtype)
+        seed.setflags(write=False)
+        grads[out.node_id] = seed
         for nid in range(len(self.nodes) - 1, -1, -1):
             g = grads[nid]
             node = self.nodes[nid]
@@ -273,20 +284,22 @@ class Tape:
                     raise DimensionError(
                         f"{node.op}: gradient shape {pg.shape} != value shape {pshape}"
                     )
-                if grads[pid] is None:
-                    grads[pid] = pg.copy()
-                else:
-                    grads[pid] += pg
+                acc = pg if grads[pid] is None else grads[pid] + pg
+                acc.setflags(write=False)
+                grads[pid] = acc
         self._grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient slot of a tracked tensor (zeros if the sweep never reached it)."""
+        """Gradient of a tracked tensor, read-only (zeros if the sweep never reached it)."""
         if t.tape is not self or t.node_id is None:
             raise ValueError("tensor is not tracked on this tape")
         if self._grads is None:
             raise RuntimeError("call backward() before grad()")
         g = self._grads[t.node_id]
-        return g if g is not None else np.zeros(t.shape, dtype=t.dtype)
+        if g is None:
+            g = np.zeros(t.shape, dtype=t.dtype)
+            g.setflags(write=False)
+        return g
 
     def fan_out(self, t: Tensor) -> int:
         """Number of recorded operations that consume `t` directly."""
@@ -366,12 +379,27 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; stacked inputs batch over leading axes (dA = dC·Bᵀ, dB = Aᵀ·dC)."""
+    """Matrix product; stacked inputs batch over leading axes (dA = dC·Bᵀ, dB = Aᵀ·dC).
+
+    With a 2-D `b` (every weight product in the model) the leading axes of
+    `a` fold into rows: [..., K] is one [rows, K] matrix, so the forward is
+    one GEMM and the backward two, dA = G·Bᵀ and dB = A_rowsᵀ·G_rows, with
+    no per-slice products to sum. Other shapes batch over leading axes.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner extents differ: {a.shape} x {b.shape}")
+    if b.ndim == 2:
+        rows, b_data = a.data.reshape(-1, a.shape[-1]), b.data
+        out = np.matmul(rows, b_data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def backward_rows(g):
+            g_rows = g.reshape(-1, g.shape[-1])
+            return np.matmul(g_rows, b_data.T).reshape(a.shape), np.matmul(rows.T, g_rows)
+
+        return record_op("matmul", out, (a, b), backward_rows)
     try:
         out = np.matmul(a.data, b.data)
     except ValueError:
@@ -603,7 +631,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
             raise DimensionError(f"grad_check target must be scalar, got {out.shape}")
         if out.tape is tape:
             tape.backward(out)
-            auto = [tape.grad(p).copy() for p in params]
+            auto = [tape.grad(p) for p in params]
         else:  # constant objective: every gradient is zero
             auto = [np.zeros(p.shape) for p in params]
 

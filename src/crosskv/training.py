@@ -3,10 +3,12 @@
 Tasks produce (tokens, transition mask) batches; the mask keeps the loss
 on positions the task actually makes predictable (e.g. the echoed half of
 a copy sequence). Updates are decoupled-weight-decay Adam with global-norm
-gradient clipping; everything is deterministic under a fixed seed. The
-learning rate and the copy task's prompt length are the only settings;
-the rest are the constants below. Reports hold the rows the CSV writers
-write.
+gradient clipping; everything is deterministic under a fixed seed. A step
+copies nothing it does not compute: the tape's gradients are used as they
+are, Adam updates its float64 moments in place, and each new parameter
+array is adopted as it is (`_adam_update`). The learning rate and the
+copy task's prompt length are the only settings; the rest are the
+constants below. Reports hold the rows the CSV writers write.
 """
 
 from __future__ import annotations
@@ -216,20 +218,41 @@ def _clipped_gradients(model: DecoderModel, tokens, mask) -> tuple[float, dict]:
 
 
 def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: float) -> None:
-    """Update every parameter in place with Adam step number `t` (from 1)."""
+    """Update every parameter with Adam step number `t` (from 1).
+
+    The moments are float64 arrays updated in place. Each new parameter is
+    a fresh array, computed in float64 in the closed form's order of
+    operations and adopted without a copy; `Tensor._wrap` checks it finite,
+    so an overflow raises EvaluationError naming the parameter (numpy's
+    warnings are off). The old parameter arrays are never written: a
+    `state_dict()` taken before a step keeps its values."""
     dt = model.cfg.dtype
-    for name, p in model.parameters():
-        g = grads[name].astype(np.float64)
-        m_prev, v_prev = moments.get(name, (0.0, 0.0))
-        m = BETA1 * m_prev + (1 - BETA1) * g
-        v = BETA2 * v_prev + (1 - BETA2) * (g * g)
-        moments[name] = m, v
-        m_hat = m / (1 - BETA1**t)
-        v_hat = v / (1 - BETA2**t)
-        new = p.numpy().astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + EPS)
-        if p.ndim >= 2:
-            new -= lr * WEIGHT_DECAY * p.numpy().astype(np.float64)
-        model.params[name] = Tensor(new.astype(dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in model.parameters():
+            g = np.asarray(grads[name], dtype=np.float64)
+            p64 = np.asarray(p.numpy(), dtype=np.float64)
+            if name not in moments:
+                moments[name] = np.zeros_like(p64), np.zeros_like(p64)
+            m, v = moments[name]
+            step, den = np.empty_like(p64), np.empty_like(p64)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            np.multiply(g, g, out=den)
+            den *= 1 - BETA2
+            v *= BETA2
+            v += den
+            np.divide(m, 1 - BETA1**t, out=step)
+            step *= lr
+            np.divide(v, 1 - BETA2**t, out=den)
+            np.sqrt(den, out=den)
+            den += EPS
+            step /= den
+            np.subtract(p64, step, out=step)
+            if p.ndim >= 2:  # decoupled weight decay
+                np.multiply(p64, lr * WEIGHT_DECAY, out=den)
+                step -= den
+            new = step if dt == np.float64 else step.astype(dt)
+            model.params[name] = Tensor._wrap(new, f"adam update of {name}")
 
 
 def _grad_norm_rows(model: DecoderModel, grads: dict, step: int) -> list[dict]:

@@ -124,6 +124,11 @@ def _numerics_checks() -> list[CheckResult]:
     a = Tensor(rng.standard_normal((4, 5)))
     b = Tensor(rng.standard_normal((5, 3)))
     cases.append(("matmul", lambda: matmul(a, b).sum(), [a, b]))
+    # The model's shape: an activation [B, s, d] times a 2-D weight, one GEMM over all rows.
+    mrng = np.random.default_rng(13)
+    act, w2 = Tensor(mrng.standard_normal((2, 3, 5))), Tensor(mrng.standard_normal((5, 4)))
+    mprobe = mrng.standard_normal((2, 3, 4))
+    cases.append(("matmul_rows", lambda: (matmul(act, w2) * mprobe).sum(), [act, w2]))
     sc = Tensor(rng.standard_normal((6, 6)))
     weight = Tensor(rng.standard_normal((6, 6)))
     cases.append(("softmax_causal", lambda: (masked_softmax(sc, _causal(6), 0.7) * weight).sum(), [sc]))
@@ -168,7 +173,7 @@ def _numerics_checks() -> list[CheckResult]:
             tape.watch(t), tape.watch(w)
             loss = masked_softmax(matmul(matmul(t, w), matmul(t, w).sum() * Tensor(np.ones((2, 3)))), _causal(3), 1.0).sum()
             tape.backward(loss)
-            return tape.grad(t).copy(), tape.grad(w).copy()
+            return tape.grad(t), tape.grad(w)
 
     rng0 = np.random.default_rng(5)
     g1 = run_once()

@@ -12,8 +12,8 @@ import crosskv.tensor
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.model import ModelConfig, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
-from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape
-from crosskv.verify import _expected_parameter_count
+from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape, grad_check
+from crosskv.verify import _expected_parameter_count, toy_config
 
 
 def small_cfg(strategy="Vanilla", **kw):
@@ -181,6 +181,14 @@ class TestForwardLoss:
         m = build_model(small_cfg(), seed=0)
         with pytest.raises(ValueError, match="exceeds max"):
             m.forward_loss(np.zeros((1, 49), dtype=int))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="longdouble is float64 here")
+    def test_fd_check_of_one_value_projection_keeps_extended_precision(self):
+        # grad_check swaps only layer3.w_v for a longdouble copy: its value rows must
+        # reach the cache buffer in longdouble, not rounded to the float64 keys (8.2e-8)
+        m = build_model(toy_config("Vanilla"), seed=2)
+        tokens = np.random.default_rng(51).integers(0, 7, size=(1, 5))
+        assert grad_check(lambda: m.forward_loss(tokens), [m.params["layer3.w_v"]]) < 1e-9
 
 
 class TestDecode:

@@ -398,6 +398,21 @@ class TestLayerCacheAppend:
         with pytest.raises(TypeError, match="layer 1"):
             rows_cache(0, 3).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
 
+    def test_values_keep_their_own_dtype(self):
+        # a wider value dtype (grad_check's longdouble) is not rounded to the keys' dtype
+        keys = rows_cache(0, 3).keys
+        values = Tensor(np.full((2, 3, 3), 1 / 3, dtype=np.longdouble))
+        c = LayerCache(keys, values, 1).buffered(capacity=8)
+        assert c.keys.dtype == np.float64 and c.values.dtype == np.longdouble
+        assert np.all(c.values.numpy() == values.numpy())
+        grown = c.append(LayerCache(rows_cache(3, 1).keys, Tensor(values.numpy()[:, :1]), 1), capacity=8)
+        assert grown.values.dtype == np.longdouble and grown.length == 4
+
+    def test_value_dtype_change_rejected(self):
+        new = rows_cache(3, 1)
+        with pytest.raises(TypeError, match="layer 1: cannot append float32 value rows"):
+            rows_cache(0, 3).append(LayerCache(new.keys, Tensor(new.values.numpy(), dtype=np.float32), 1), capacity=8)
+
     def test_float32_stays_float32(self):
         c = rows_cache(0, 3, dtype=np.float32).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
         assert c.keys.dtype == np.float32 and c.values.dtype == np.float32

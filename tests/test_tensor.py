@@ -100,6 +100,25 @@ class TestMatmul:
         for i in range(3):
             np.testing.assert_allclose(got[i], a.numpy()[i] @ b.numpy()[i], rtol=0, atol=0)
 
+    def test_rows_by_weight_against_per_slice(self):
+        # a 2-D right operand folds the leading axes into rows: still each slice's own product
+        a, b = rand(3, 4, 5, seed=10), rand(5, 2, seed=11)
+        got = matmul(a, b).numpy()
+        assert got.shape == (3, 4, 2)
+        for i in range(3):
+            np.testing.assert_allclose(got[i], a.numpy()[i] @ b.numpy(), rtol=0, atol=0)
+
+    def test_rows_by_weight_gradients_sum_over_slices(self):
+        a, b, probe = rand(3, 4, 5, seed=12), rand(5, 2, seed=13), rand(3, 4, 2, seed=14).numpy()
+        with Tape() as tape:
+            tape.watch(a), tape.watch(b)
+            tape.backward((matmul(a, b) * probe).sum())
+            da, db = tape.grad(a), tape.grad(b)
+        want_db = sum(a.numpy()[i].T @ probe[i] for i in range(3))
+        assert np.abs(db - want_db).max() <= 1e-12 * np.abs(want_db).max()
+        want_da = np.stack([probe[i] @ b.numpy().T for i in range(3)])
+        assert np.abs(da - want_da).max() <= 1e-12 * np.abs(want_da).max()
+
     def test_matmul_t_equals_explicit_transpose(self):
         a, b = rand(2, 4, 6, seed=7), rand(2, 3, 6, seed=8)
         want = np.matmul(a.numpy(), np.swapaxes(b.numpy(), -1, -2))
@@ -348,6 +367,35 @@ class TestTapeMechanics:
             tape.watch(z)
             tape.backward((x * x).sum())
             assert np.all(tape.grad(z) == 0.0)
+
+    def test_gradients_are_read_only(self):
+        x, z = rand(2, 3, seed=23), Tensor([2.0])
+        with Tape() as tape:
+            tape.watch(x), tape.watch(z)
+            tape.backward((x * x).sum())
+            for g in (tape.grad(x), tape.grad(z)):  # reached, and never reached
+                assert not g.flags.writeable
+                with pytest.raises(ValueError):
+                    g[...] = 0.0
+
+    def test_shared_gradient_array_reaches_both_parents_whole(self):
+        # `add` hands its one gradient array to both parents; x's later
+        # contribution from the earlier `mul` must not write into it
+        x, y, w = rand(2, 3, seed=24), rand(2, 3, seed=25), rand(2, 3, seed=26).numpy()
+        with Tape() as tape:
+            tape.watch(x), tape.watch(y)
+            t = x * 3.0
+            s = x + y
+            tape.backward(add((s * w).sum(), t.sum()))
+            np.testing.assert_array_equal(tape.grad(y), w)
+            np.testing.assert_array_equal(tape.grad(x), w + 3.0)
+
+    def test_add_of_a_tensor_to_itself_counts_twice(self):
+        x, w = rand(2, 3, seed=27), rand(2, 3, seed=28).numpy()
+        with Tape() as tape:
+            tape.watch(x)
+            tape.backward((add(x, x) * w).sum())
+            np.testing.assert_array_equal(tape.grad(x), 2.0 * w)
 
     def test_gradients_bit_identical_across_replays(self):
         x = rand(4, 4, seed=22)

@@ -6,7 +6,12 @@ import pytest
 import crosskv.training
 from crosskv.model import ModelConfig, build_model
 from crosskv.training import (
+    BETA1,
+    BETA2,
+    EPS,
+    WEIGHT_DECAY,
     TrainingDivergedError,
+    _adam_update,
     check_training,
     make_batch,
     train,
@@ -163,3 +168,61 @@ class TestTrainLoop:
         after = m.params["fusion.key.2.1"]
         assert not np.array_equal(before.numpy(), after.numpy())
         assert after.shape == before.shape == (m.cfg.head_dim // 2,)  # still the free values: symmetric by construction
+
+
+def closed_form_adam(params: dict, grads: dict, moments: dict, t: int, lr: float, dtype) -> dict:
+    """Adam as a closed form over fresh arrays: the reference the in-place update must equal bit for bit."""
+    out = {}
+    for name, p in params.items():
+        g = grads[name].astype(np.float64)
+        m_prev, v_prev = moments.get(name, (0.0, 0.0))
+        m = BETA1 * m_prev + (1 - BETA1) * g
+        v = BETA2 * v_prev + (1 - BETA2) * (g * g)
+        moments[name] = m, v
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        new = p.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        if p.ndim >= 2:
+            new -= lr * WEIGHT_DECAY * p.astype(np.float64)
+        out[name] = new.astype(dtype)
+    return out
+
+
+class TestAdamUpdate:
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV", "DenseFusion"])
+    def test_in_place_update_equals_the_closed_form_bit_for_bit(self, strategy, precision):
+        m = build_model(tiny_cfg(strategy, n_layers=4, precision=precision), seed=12)
+        if strategy == "DenseFusion":
+            assert any(p.ndim == 0 for _, p in m.parameters())  # its scalar fusion weights
+        ref, ref_moments, moments = {n: p.numpy() for n, p in m.parameters()}, {}, {}
+        rng = np.random.default_rng(13)
+        for t in range(1, 6):
+            grads = {}
+            for n, p in m.parameters():
+                g = np.asarray(rng.standard_normal(p.shape) * 0.1, dtype=m.cfg.dtype)
+                grads[n] = g[()] if g.ndim == 0 else g  # a clipped 0-d gradient is a numpy scalar
+            _adam_update(m, grads, moments, t, 3e-3)
+            ref = closed_form_adam(ref, grads, ref_moments, t, 3e-3, m.cfg.dtype)
+            for n, p in m.parameters():
+                assert p.dtype == ref[n].dtype and p.shape == ref[n].shape
+                assert p.numpy().tobytes() == ref[n].tobytes(), f"step {t}: {n}"
+
+    def test_state_dict_taken_before_a_step_is_unchanged(self):
+        # the benchmark's training client keeps these arrays, uncopied, to replay its first step
+        m = build_model(tiny_cfg("DenseFusion", n_layers=4), seed=14)
+        before = m.state_dict()
+        saved = {n: a.copy() for n, a in before.items()}
+        train(m, "copy", 2, seed=15, batch_size=2, prompt_len=4)
+        for n, a in saved.items():
+            np.testing.assert_array_equal(before[n], a)
+        assert all(not np.array_equal(m.params[n].numpy(), a) for n, a in saved.items() if n.startswith("layer"))
+
+    def test_overflowing_update_raises_naming_the_step(self):
+        m = build_model(tiny_cfg(precision="single"), seed=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the named error, not a warning
+            with pytest.raises(TrainingDivergedError, match="at step 0") as exc:
+                train(m, "copy", 3, learning_rate=1e39, seed=17, batch_size=2, prompt_len=4)
+        assert exc.value.step == 0
+        assert "adam update of" in str(exc.value.__context__)  # float32 overflow, not the forward
