@@ -26,7 +26,6 @@ from .rope import (
     score_direct,
 )
 from .sharing import (
-    FoldedCache,
     LayerCache,
     SharingPlan,
     folded_cache,

@@ -7,10 +7,11 @@ depends only on s_k - s_q, so rotating both at shifted positions changes
 nothing. Query head h reads kv head h // (H_q / H_kv); with H_kv == H_q
 this is plain multi-head attention.
 
-One kernel serves every layer. A layer's cache is a set of key terms and
-value terms, each a stored tensor with an optional weight: a storage layer
-is one unweighted term, a direct-reuse layer (CLA, YOCO) one unweighted
-term of its source, a fusion layer one weighted term per source. Weights
+One kernel serves every layer, and every layer hands it one cache type,
+`sharing.LayerCache`: a set of key terms and value terms, each a stored
+tensor with an optional weight. A storage layer's cache is one unweighted
+term of its own rows, a direct-reuse layer's (CLA, YOCO) one unweighted
+term of its source, a fusion layer's one weighted term per source. Weights
 fold into the small operands through the dot-product identities
 
     (w ⊙ q)·k = q·(w ⊙ k)        and        P·(V ⊙ b) = (P·V) ⊙ b,
@@ -40,7 +41,7 @@ from functools import reduce
 
 import numpy as np
 
-from .sharing import FoldedCache, LayerCache, _sum_terms
+from .sharing import LayerCache, _sum_terms
 from .tensor import DimensionError, Tensor, _active_tape, _check_finite, record_op
 
 # Not called here any more. The benchmark's tracer (perfbench/hooks.py)
@@ -109,14 +110,14 @@ def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     return record_op("attention", out.reshape(q.shape), (q, k, v), backward)
 
 
-def attend(q: Tensor, cache: LayerCache | FoldedCache) -> Tensor:
+def attend(q: Tensor, cache: LayerCache) -> Tensor:
     """Causal attention of rotated queries against one layer's cache terms.
 
     q: [..., H_q, s_q, D]; every term tensor: [..., H_kv, s_k, D], H_kv
     dividing H_q and s_q <= s_k. The queries are the cache's last rows, so
     query row t attends to cache rows 0..s_k-s_q+t. Scores Σ_j (w_j ⊙ q)·K_jᵀ
-    are scaled by 1/sqrt(D); the output is Σ_j (P·V_j) ⊙ b_j. A `LayerCache`
-    is one unweighted term of keys and one of values. With more than one
+    are scaled by 1/sqrt(D); the output is Σ_j (P·V_j) ⊙ b_j. A storage
+    layer's cache is one unweighted term on each side. With more than one
     query row, or while a tape records on this thread, each side's terms
     are summed first; else they fold. Returns [..., H_q, s_q, D].
     """

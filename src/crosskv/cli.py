@@ -364,7 +364,7 @@ def _cmd_decode_bench(args) -> int:
         dev = float(np.abs(full[: len(res.logits)] - res.logits).max())
         rows.append(
             {
-                "strategy": strategy,
+                "strategy": canonical_strategy(strategy),
                 "prompt_len": args.prompt_len,
                 "new_tokens": args.new_tokens,
                 "peak_cache_layers": res.peak_cache_layers,

@@ -11,13 +11,15 @@ over the whole sequence into a fresh cache dict, `decode` for each step
 and for its prefill, appending to the caches that only storage layers
 keep. The prefill embeds the prompt once, then runs it through the stack
 `PREFILL_CHUNK` rows at a time, so each chunk attends to the keys up to
-its own end and no [H, T, T] score tensor is built. A tape-free pass
-writes a storage layer's first rows into a buffer of `max_seq_len` rows
-(`LayerCache.buffered`); each later chunk or step writes only its own
-rows (`LayerCache.append`). A reconstruction layer hands the attention
-kernel its sources' stored caches and fusion weights (`folded_cache`);
-the kernel folds them only where nothing records (a tape-free one-row
-step) and sums them otherwise, so `sharing.reconstruct` stays an oracle.
+its own end and no [H, T, T] score tensor is built. Every layer hands
+the attention kernel a `LayerCache` of weighted terms. A storage layer's
+is its own rows (`LayerCache.stored`); a tape-free pass writes its first
+rows into a buffer of `max_seq_len` rows (`LayerCache.buffered`), and
+each later chunk or step writes only its own rows (`LayerCache.append`).
+A reconstruction layer's is its sources' stored tensors and fusion
+weights (`folded_cache`); the kernel folds them only where nothing
+records (a tape-free one-row step) and sums them otherwise, so
+`sharing.reconstruct` stays an oracle.
 Whether a tape records on the thread decides buffering and finiteness
 checks too: recording passes sum terms, keep tracked caches and check
 every op's result; tape-free ones fold, buffer, and check each block's
@@ -228,7 +230,7 @@ class DecoderModel:
         k = self._split_heads(matmul(xn, self.params[f"layer{i}.w_k"]), self.cfg.n_kv_heads)
         k = apply_rope(k, positions, self.sched)
         v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
-        return LayerCache(k, v, i)
+        return LayerCache.stored(k, v, i)
 
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage

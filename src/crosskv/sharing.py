@@ -49,7 +49,6 @@ __all__ = [
     "ReconstructionSpec",
     "SharingPlan",
     "LayerCache",
-    "FoldedCache",
     "fusion_weight",
     "IterativeWeights",
     "plan_for_strategy",
@@ -263,44 +262,49 @@ class _CacheBuffer:
     def cache(self, layer: int) -> "LayerCache":
         """The written rows, as read-only row-prefix views."""
         rows = np.s_[..., : self.rows, :]
-        return LayerCache(Tensor._adopt_rows(self.keys[rows]), Tensor._adopt_rows(self.values[rows]), layer, self)
+        keys, values = Tensor._adopt_rows(self.keys[rows]), Tensor._adopt_rows(self.values[rows])
+        return LayerCache(((keys, None),), ((values, None),), layer, self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerCache:
-    """Post-rotation keys and values of one storage layer, shape [..., H_kv, s, D].
+    """One layer's post-rotation keys and values as weighted terms: each
+    side is a tuple of (tensor [..., H_kv, s, D], weight or None) pairs,
+    and stands for the sum of weight * tensor.
 
-    A model pass keeps one per storage layer, growing it by `append` across
-    decode steps; a reconstruction layer reads these through a
-    `FoldedCache` and has none of its own. A cache that came from `append`
-    or `buffered` holds read-only row-prefix views of a buffer preallocated
-    at the decode capacity; its values never change.
+    A storage layer's cache (`stored`) is one unweighted term of its own
+    rows, which `keys` and `values` read; a model pass grows it by `append`
+    across decode steps. A reconstruction layer keeps none: its cache
+    (`folded_cache`) is terms of its sources' stored tensors. A cache from
+    `append` or `buffered` holds read-only row-prefix views of a buffer
+    preallocated at the decode capacity; its values never change.
     """
 
-    keys: Tensor
-    values: Tensor
+    key_terms: tuple
+    value_terms: tuple
     layer: int
     _buffer: _CacheBuffer | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.keys.shape != self.values.shape:
-            raise DimensionError(
-                f"layer {self.layer}: key shape {self.keys.shape} != value shape {self.values.shape}"
-            )
-        if self.keys.ndim < 3:
-            raise DimensionError(f"cache tensors need [..., H_kv, s, D], got {self.keys.shape}")
+    @classmethod
+    def stored(cls, keys: Tensor, values: Tensor, layer: int) -> "LayerCache":
+        """A storage layer's cache: its keys and values, one unweighted term each."""
+        if keys.shape != values.shape:
+            raise DimensionError(f"layer {layer}: key shape {keys.shape} != value shape {values.shape}")
+        if keys.ndim < 3:
+            raise DimensionError(f"cache tensors need [..., H_kv, s, D], got {keys.shape}")
+        return cls(((keys, None),), ((values, None),), layer)
+
+    @property
+    def keys(self) -> Tensor:
+        return self.key_terms[0][0]
+
+    @property
+    def values(self) -> Tensor:
+        return self.value_terms[0][0]
 
     @property
     def length(self) -> int:
         return self.keys.shape[-2]
-
-    @property
-    def key_terms(self) -> tuple:
-        return ((self.keys, None),)
-
-    @property
-    def value_terms(self) -> tuple:
-        return ((self.values, None),)
 
     def buffered(self, capacity: int) -> "LayerCache":
         """This cache's rows written into a fresh buffer of `capacity` rows,
@@ -334,21 +338,6 @@ class LayerCache:
         return buf.cache(self.layer)
 
 
-@dataclass(frozen=True)
-class FoldedCache:
-    """A reconstruction layer's keys and values left unsummed: each is a
-    tuple of (stored tensor, weight or None) terms, and the cache they
-    stand for is the sum of weight * tensor. `crosskv.attention.attend`
-    folds the weights into a one-row query and its output when nothing
-    records, so a decode step never materializes the reconstructed cache;
-    for several rows, or under a recording tape, it sums the terms once.
-    """
-
-    key_terms: tuple
-    value_terms: tuple
-    layer: int
-
-
 def fusion_weight(weights: dict, rule: CacheRule, cache: str, i: int, j: int) -> Tensor:
     """The weight on source j of layer i's `cache` ("key" or "value")
     fusion rule, as applied: a vector key weight expanded to length D."""
@@ -361,10 +350,11 @@ def folded_cache(
     weights: dict | None,
     stored: dict,
     i: int,
-) -> FoldedCache:
-    """The terms that rebuild reconstruction layer `i` from stored caches:
-    a direct rule is its source tensor unweighted; a fusion rule is one
-    weighted term per source. The tensors are the stored ones (aliased)."""
+) -> LayerCache:
+    """The cache of reconstruction layer `i` as terms of stored caches: a
+    direct rule is its source tensor unweighted; a fusion rule is one
+    weighted term per source, in rule order. The tensors are the stored
+    ones (aliased)."""
     if i not in plan.rules:
         raise KeyError(f"layer {i} is not a reconstruction layer")
     spec = plan.rules[i]
@@ -387,7 +377,7 @@ def folded_cache(
             return ((tensor_of(rule.sources[0]), None),)
         return tuple((tensor_of(j), fusion_weight(weights, rule, cache, i, j)) for j in rule.sources)
 
-    return FoldedCache(
+    return LayerCache(
         terms(spec.key, "key", lambda j: stored[j].keys),
         terms(spec.value, "value", lambda j: stored[j].values),
         i,

@@ -13,10 +13,10 @@ Outside a tape, the same functions are plain (and fast) numpy calls, which
 is the path incremental decoding uses.
 
 Conventions:
-  - reshapes and transposes copy; the one strided view is a decode
-    cache's row prefix `buf[..., :n, :]` of a preallocated buffer
-    (`sharing.LayerCache.buffered` and `append`), read-only and never
-    written again,
+  - reshapes and transposes copy; the one strided view is a storage
+    layer's decode cache, a row prefix `buf[..., :n, :]` of a preallocated
+    buffer (`sharing.LayerCache.buffered` and `append` on a
+    `LayerCache.stored`), read-only and never written again,
   - a `matmul` by a 2-D weight is one GEMM over the rows of all leading
     axes, forward and backward; only other shapes batch per slice,
   - float64 is the default dtype (float32 is opt-in for training;
@@ -529,9 +529,10 @@ def swiglu(x) -> Tensor:
     out = silu * val
 
     def backward(g):
-        dgate = g * val * sig * (1.0 + gate * (1.0 - sig))
-        dval = g * silu
-        return (np.concatenate([dgate, dval], axis=-1),)
+        dx = np.empty(x.shape, dtype=np.result_type(g, x.data))
+        np.multiply(g * val * sig, 1.0 + gate * (1.0 - sig), out=dx[..., :h])
+        np.multiply(g, silu, out=dx[..., h:])
+        return (dx,)
 
     return record_op("swiglu", out, (x,), backward)
 

@@ -146,9 +146,9 @@ def _numerics_checks() -> list[CheckResult]:
     arng = np.random.default_rng(12)
     kv = [Tensor(arng.standard_normal((2, 6, 4))) for _ in range(6)]
     cq, probe = Tensor(arng.standard_normal((4, 3, 4))), arng.standard_normal((4, 3, 4))
-    cases.append(("attend_chunk", lambda: (attend(cq, LayerCache(kv[0], kv[1], 1)) * probe).sum(), [cq, *kv[:2]]))
+    cases.append(("attend_chunk", lambda: (attend(cq, LayerCache.stored(kv[0], kv[1], 1)) * probe).sum(), [cq, *kv[:2]]))
     plan, fq = plan_for_strategy("FusedKV", 3, 2), Tensor(arng.standard_normal((4, 1, 4)))
-    fusion, stored = init_normal(plan, 4, arng), {1: LayerCache(kv[2], kv[3], 1), 2: LayerCache(kv[4], kv[5], 2)}
+    fusion, stored = init_normal(plan, 4, arng), {1: LayerCache.stored(kv[2], kv[3], 1), 2: LayerCache.stored(kv[4], kv[5], 2)}
     cases.append(("attend_fused_row", lambda: (attend(fq, folded_cache(plan, fusion, stored, 3)) * probe[:, :1]).sum(),
                   [fq, *kv[2:], *fusion.values()]))
     errors = {name: grad_check(f, params) for name, f, params in cases}
@@ -283,7 +283,7 @@ def _rope_checks() -> list[CheckResult]:
 
 def _random_caches(rng, layers, shape=(2, 5, 8)) -> dict:
     return {
-        j: LayerCache(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), j)
+        j: LayerCache.stored(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), j)
         for j in layers
     }
 
@@ -389,7 +389,7 @@ def _attention_checks() -> list[CheckResult]:
     rng = np.random.default_rng(41)
 
     q = Tensor(rng.standard_normal((4, 6, 8)))
-    cache = LayerCache(Tensor(rng.standard_normal((2, 6, 8))), Tensor(rng.standard_normal((2, 6, 8))), 1)
+    cache = LayerCache.stored(Tensor(rng.standard_normal((2, 6, 8))), Tensor(rng.standard_normal((2, 6, 8))), 1)
     base = attend(q, cache).numpy()
 
     # Causality: zero all K/V entries after position p; outputs at <= p identical.
@@ -399,7 +399,7 @@ def _attention_checks() -> list[CheckResult]:
         vz = cache.values.numpy().copy()
         kz[:, p + 1 :, :] = 0.0
         vz[:, p + 1 :, :] = 0.0
-        zeroed = attend(q, LayerCache(Tensor(kz), Tensor(vz), 1)).numpy()
+        zeroed = attend(q, LayerCache.stored(Tensor(kz), Tensor(vz), 1)).numpy()
         ok &= np.array_equal(zeroed[:, : p + 1, :], base[:, : p + 1, :])
     out.append(_result("attention", "future_tokens_cannot_affect_present", ok))
 
@@ -411,11 +411,11 @@ def _attention_checks() -> list[CheckResult]:
     weights = init_normal(plan, 8, rng)
     k, v = reconstruct(plan, weights, stored, 3)
     terms = folded_cache(plan, weights, stored, 3)
-    mat = attend(q, LayerCache(k, v, 3)).numpy()
+    mat = attend(q, LayerCache.stored(k, v, 3)).numpy()
     fused = attend(q, terms).numpy()
     rows = []
     for t in range(6):
-        head = {j: LayerCache(Tensor(c.keys.numpy()[:, : t + 1]), Tensor(c.values.numpy()[:, : t + 1]), j)
+        head = {j: LayerCache.stored(Tensor(c.keys.numpy()[:, : t + 1]), Tensor(c.values.numpy()[:, : t + 1]), j)
                 for j, c in stored.items()}
         rows.append(attend(Tensor(q.numpy()[:, t : t + 1, :]), folded_cache(plan, weights, head, 3)).numpy())
     dev = max(np.abs(mat - fused).max(), np.abs(mat - np.concatenate(rows, axis=1)).max())
@@ -431,7 +431,7 @@ def _attention_checks() -> list[CheckResult]:
     def fused_at(n_query_heads: int, shift: int) -> np.ndarray:
         pos = np.arange(6) + shift
         srcs = {
-            j: LayerCache(apply_rope(Tensor(raw_k[j]), pos, sched), Tensor(raw_v[j]), j) for j in (1, 2)
+            j: LayerCache.stored(apply_rope(Tensor(raw_k[j]), pos, sched), Tensor(raw_v[j]), j) for j in (1, 2)
         }
         qr = apply_rope(Tensor(raw_q[:n_query_heads]), pos, sched)
         return attend(qr, folded_cache(plan, weights, srcs, 3)).numpy()
@@ -441,7 +441,7 @@ def _attention_checks() -> list[CheckResult]:
     out.append(_result("attention", "outputs_shift_invariant", dev <= 1e-10, f"max dev {dev:.2e}"))
 
     # H_kv == H_q reproduces plain multi-head attention.
-    cache4 = LayerCache(Tensor(rng.standard_normal((4, 5, 8))), Tensor(rng.standard_normal((4, 5, 8))), 1)
+    cache4 = LayerCache.stored(Tensor(rng.standard_normal((4, 5, 8))), Tensor(rng.standard_normal((4, 5, 8))), 1)
     got = attend(Tensor(raw_q[:, :5, :]), cache4).numpy()
     # oracle: naive per-head, per-query loops
     want = np.zeros_like(got)

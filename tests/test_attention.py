@@ -5,12 +5,12 @@ import pytest
 
 from crosskv.attention import attend
 from crosskv.rope import RopeSchedule, apply_rope
-from crosskv.sharing import FoldedCache, LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
+from crosskv.sharing import LayerCache, folded_cache, init_normal, plan_for_strategy, reconstruct
 from crosskv.tensor import DimensionError, Tape, Tensor, grad_check
 
 
 def cache_of(rng, h_kv, s, d, layer=1):
-    return LayerCache(
+    return LayerCache.stored(
         Tensor(rng.standard_normal((h_kv, s, d))),
         Tensor(rng.standard_normal((h_kv, s, d))),
         layer,
@@ -77,7 +77,7 @@ class TestAttend:
         zeroed_v = cache.values.numpy().copy()
         zeroed_k[:, 3:, :] = 0.0
         zeroed_v[:, 3:, :] = 0.0
-        out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
+        out = attend(q, LayerCache.stored(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
         np.testing.assert_array_equal(out[:, :3], base[:, :3])
 
     def test_causality_of_a_chunk_with_grouped_heads(self):
@@ -92,7 +92,7 @@ class TestAttend:
         zeroed_v = cache.values.numpy().copy()
         zeroed_k[:, 5:, :] = 0.0
         zeroed_v[:, 5:, :] = 0.0
-        out = attend(q, LayerCache(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
+        out = attend(q, LayerCache.stored(Tensor(zeroed_k), Tensor(zeroed_v), 1)).numpy()
         np.testing.assert_array_equal(out[:, :2], base[:, :2])
         assert not np.array_equal(out[:, 2:], base[:, 2:])
 
@@ -128,7 +128,7 @@ class TestAttend:
         # every size comes from the operands: a cache of [*cache_lead, 2, 3, 4]
         rng = np.random.default_rng(22)
         shape = cache_lead + (2, 3, 4)
-        cache = LayerCache(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), 1)
+        cache = LayerCache.stored(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), 1)
         q = Tensor(rng.standard_normal(q_shape))
         with pytest.raises(DimensionError, match=message):
             attend(q, cache)
@@ -140,7 +140,7 @@ def first_rows(cache, n):
     def cut(terms):
         return tuple((Tensor(tensor.numpy()[..., :n, :]), weight) for tensor, weight in terms)
 
-    return FoldedCache(cut(cache.key_terms), cut(cache.value_terms), cache.layer)
+    return LayerCache(cut(cache.key_terms), cut(cache.value_terms), cache.layer)
 
 
 def by_row(q, cache):
@@ -161,7 +161,7 @@ class TestAttendFused:
         rng = np.random.default_rng(6)
         cache = cache_of(rng, 2, 4, 8)
         q = Tensor(rng.standard_normal((2, 4, 8)))
-        ones = FoldedCache(
+        ones = LayerCache(
             ((cache.keys, Tensor(np.ones(8))),), ((cache.values, Tensor(np.ones(8))),), 3
         )
         fused = attend(q, ones).numpy()
@@ -177,7 +177,7 @@ class TestAttendFused:
         q = Tensor(rng.standard_normal((4, 5, 8)))
         k, v = reconstruct(plan, weights, stored, 3)
         terms = folded_cache(plan, weights, stored, 3)
-        mat = attend(q, LayerCache(k, v, 3)).numpy()
+        mat = attend(q, LayerCache.stored(k, v, 3)).numpy()
         assert np.abs(mat - attend(q, terms).numpy()).max() < 1e-12
         assert np.abs(mat - by_row(q, terms)).max() < 1e-12
 
@@ -190,7 +190,7 @@ class TestAttendFused:
             stored = {j: cache_of(rng, 2, 5, 8, layer=j) for j in plan.storage_layers}
             q = Tensor(rng.standard_normal((4, 3, 8)))
             k, v = reconstruct(plan, weights, stored, 4)
-            mat = attend(q, LayerCache(k, v, 4)).numpy()
+            mat = attend(q, LayerCache.stored(k, v, 4)).numpy()
             summed = attend(q, folded_cache(plan, weights, stored, 4)).numpy()
             assert np.array_equal(summed, mat), strategy
 
@@ -205,7 +205,7 @@ class TestAttendFused:
         def run(shift, attend_rows):
             pos = np.arange(6) + shift
             srcs = {
-                j: LayerCache(apply_rope(Tensor(raw[j][0]), pos, sched), Tensor(raw[j][1]), j)
+                j: LayerCache.stored(apply_rope(Tensor(raw[j][0]), pos, sched), Tensor(raw[j][1]), j)
                 for j in (1, 2)
             }
             q = apply_rope(Tensor(raw_q), pos, sched)
@@ -220,12 +220,12 @@ class TestAttendFused:
         q = Tensor(rng.standard_normal((2, 2, 4)))
         value_terms = ((cache.values, Tensor(np.ones(4))),)
         with pytest.raises(DimensionError):  # no key terms
-            attend(q, FoldedCache((), value_terms, 3))
+            attend(q, LayerCache((), value_terms, 3))
         with pytest.raises(DimensionError):  # weight length is not head_dim
-            attend(q, FoldedCache(((cache.keys, Tensor(np.ones(3))),), value_terms, 3))
+            attend(q, LayerCache(((cache.keys, Tensor(np.ones(3))),), value_terms, 3))
         short = cache_of(rng, 2, 1, 4)
         with pytest.raises(DimensionError):  # terms of different cache lengths
-            attend(q, FoldedCache(((cache.keys, None), (short.keys, None)), value_terms, 3))
+            attend(q, LayerCache(((cache.keys, None), (short.keys, None)), value_terms, 3))
 
 
 FOLDED_STRATEGIES = (
@@ -253,7 +253,7 @@ class TestFoldedKernel:
         for i in plan.reconstruction_layers:
             k, v = reconstruct(plan, weights, stored, i)
             folded = attend(q, folded_cache(plan, weights, stored, i)).numpy()
-            materialized = attend(q, LayerCache(k, v, i)).numpy()
+            materialized = attend(q, LayerCache.stored(k, v, i)).numpy()
             oracle = loop_attention(q.numpy(), k.numpy(), v.numpy(), 2, q_pos, np.arange(s_k))
             assert np.abs(folded - materialized).max() < 1e-12
             assert np.abs(folded - oracle).max() < 1e-12

@@ -292,6 +292,17 @@ class TestDecodeBench:
         dev_idx = header.index("incremental_vs_full_max_dev")
         assert all(float(r[dev_idx]) < 1e-10 for r in rows.values())
 
+    def test_rows_use_canonical_names(self, tmp_path, capsys):
+        args = ["decode-bench", "--strategies", "mha,yoco", "--seed", "2", "--prompt-len", "4",
+                "--new-tokens", "2", "--output-dir", str(tmp_path)] + TINY_MODEL
+        assert run(args) == EXIT_OK
+        lines = (tmp_path / "decode_bench.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["strategy", "Vanilla", "YOCO"]
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("decode ")]
+        assert printed == ["decode Vanilla", "decode YOCO"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["strategies"] == ["mha", "yoco"]  # as typed
+
     def test_manifest_records_host(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

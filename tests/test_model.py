@@ -10,6 +10,7 @@ import crosskv.model
 import crosskv.sharing
 import crosskv.tensor
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
+from crosskv.costmodel import WorkloadSpec, table1_costs
 from crosskv.model import ModelConfig, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
 from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape, grad_check
@@ -402,6 +403,49 @@ def overflowing(m, name="layer3.w_in"):
     """`m` with every entry of parameter `name` at 1e308: its matmul overflows."""
     m.params[name] = Tensor(np.full(m.params[name].shape, 1e308))
     return m
+
+
+class TestTable1Reads:
+    """One tape-free decode step reads, and the decode stores, what Table 1
+    counts (L = 8, d = 64, H_q = 8, context s = 41 after a 40-token prompt).
+    The reads are the term tensors the model hands the attention op."""
+
+    L, PROMPT = 8, 40
+
+    def step_reads(self, monkeypatch, strategy, n_kv_heads):
+        cfg = ModelConfig(n_layers=self.L, d_model=64, n_query_heads=8, n_kv_heads=n_kv_heads, strategy=strategy)
+        model = build_model(cfg, seed=0)
+        reads, inner = [], crosskv.attention._attention
+
+        def spy(q, key_terms, value_terms):
+            if q.shape[-2] == 1:  # the decode step; the prefill attends 40 rows at once
+                assert _active_tape() is None
+                reads.append(sum(t.size for t, _ in key_terms + value_terms))
+            return inner(q, key_terms, value_terms)
+
+        monkeypatch.setattr(crosskv.attention, "_attention", spy)
+        res = model.decode(np.arange(self.PROMPT) % cfg.vocab_size, 2)  # the prefill, then one step
+        assert res.cache_length == self.PROMPT + 1 and len(reads) == self.L
+        unit = res.cache_length * n_kv_heads * cfg.head_dim  # s·H_kv·D
+        assert sum(reads) % unit == 0
+        workload = WorkloadSpec(self.L, res.cache_length, cfg.head_dim, cfg.n_query_heads, n_kv_heads)
+        return sum(reads) // unit, res, workload
+
+    @pytest.mark.parametrize(
+        "strategy, n_kv_heads, units",
+        [("Vanilla", 8, 16), ("GQA", 2, 16), ("YOCO", 8, 16), ("FusedKV-Lite", 8, 16), ("FusedKV", 8, 24)],
+    )
+    def test_table1_rows_read_and_store_what_table1_counts(self, monkeypatch, strategy, n_kv_heads, units):
+        got, res, workload = self.step_reads(monkeypatch, strategy, n_kv_heads)
+        costs = table1_costs(strategy, workload)
+        assert got == units
+        assert got * workload.prefill_len * n_kv_heads * workload.head_dim == costs.cache_io_elements
+        assert res.peak_cache_elements == costs.cache_mem_elements
+
+    @pytest.mark.parametrize("strategy, units", [("CLA", 2 * L), ("DenseFusion", L + L * L // 2)])
+    def test_rows_outside_table1_read_their_closed_forms(self, monkeypatch, strategy, units):
+        got, _, _ = self.step_reads(monkeypatch, strategy, 8)
+        assert got == units
 
 
 class TestFiniteChecks:

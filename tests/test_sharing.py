@@ -11,6 +11,7 @@ from crosskv.sharing import (
     IterativeWeights,
     LayerCache,
     canonical_strategy,
+    folded_cache,
     fusion_weight,
     init_equivalent,
     init_normal,
@@ -25,7 +26,7 @@ from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor
 def random_caches(layers, shape=(2, 4, 8), seed=0):
     rng = np.random.default_rng(seed)
     return {
-        j: LayerCache(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), j)
+        j: LayerCache.stored(Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape)), j)
         for j in layers
     }
 
@@ -162,7 +163,7 @@ class TestReconstruct:
     def test_length_mismatch_rejected(self):
         plan = plan_for_strategy("FusedKV", 4, 2)
         stored = random_caches((1, 2))
-        stored[2] = LayerCache(
+        stored[2] = LayerCache.stored(
             Tensor(np.ones((2, 5, 8))), Tensor(np.ones((2, 5, 8))), 2
         )
         with pytest.raises(DimensionError, match="different lengths"):
@@ -276,7 +277,7 @@ class TestIterativeReconstruct:
 
         rule = ReconstructionSpec(CacheRule((1, 3), FUSION_SCALAR), CacheRule((1, 3), FUSION_SCALAR))
         plan = SharingPlan(6, (1, 2, 3), {i: rule for i in (4, 5, 6)})
-        ones = lambda: LayerCache(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), 0)
+        ones = lambda: LayerCache.stored(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 4))), 0)
         stored = {j: ones() for j in (1, 2, 3)}
         aux = IterativeWeights(
             key={(4, 1): 1.0, (4, 3): 1.0, (5, 4): 1.0, (5, 3): 1.0, (6, 5): 1.0, (6, 3): 1.0},
@@ -291,20 +292,55 @@ class TestIterativeReconstruct:
 
 
 class TestLayerCache:
+    """One cache type: a storage layer's cache is one unweighted term of its
+    own rows; a reconstruction layer's is terms of its sources' tensors."""
+
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(DimensionError):
-            LayerCache(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), 1)
+        with pytest.raises(DimensionError, match="layer 1: key shape"):
+            LayerCache.stored(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), 1)
+
+    def test_rank_below_three_rejected(self):
+        with pytest.raises(DimensionError, match=r"\[\.\.\., H_kv, s, D\]"):
+            LayerCache.stored(Tensor(np.ones((7, 4))), Tensor(np.ones((7, 4))), 1)
 
     def test_length_property(self):
-        c = LayerCache(Tensor(np.ones((2, 7, 4))), Tensor(np.ones((2, 7, 4))), 1)
+        c = LayerCache.stored(Tensor(np.ones((2, 7, 4))), Tensor(np.ones((2, 7, 4))), 1)
         assert c.length == 7
+
+    def test_stored_keys_and_values_are_its_one_term(self):
+        keys, values = Tensor(np.ones((2, 7, 4))), Tensor(np.zeros((2, 7, 4)))
+        c = LayerCache.stored(keys, values, 3)
+        assert c.key_terms == ((keys, None),) and c.value_terms == ((values, None),)
+        assert c.keys is keys and c.values is values and c.layer == 3
+
+    def test_direct_rule_is_the_stored_tensor_unweighted(self):
+        stored = random_caches((1, 2))
+        for strategy, key_src, value_src in (("YOCO", 2, 2), ("FusedKV-Lite", 2, 1), ("value1key2", 2, 1)):
+            cache = folded_cache(plan_for_strategy(strategy, 4), None, stored, 3)
+            assert isinstance(cache, LayerCache) and cache.layer == 3, strategy
+            ((k, kw),), ((v, vw),) = cache.key_terms, cache.value_terms
+            assert kw is None and vw is None, strategy
+            assert k is stored[key_src].keys and v is stored[value_src].values, strategy
+
+    def test_fusion_rule_is_one_weighted_term_per_source_in_rule_order(self):
+        stored = random_caches((1, 2, 3))
+        for strategy in ("FusedKV", "DenseFusion", "FusedKV-Lite-Learnable"):
+            plan = plan_for_strategy(strategy, 6, 3)
+            weights = init_normal(plan, 8, 0)
+            cache = folded_cache(plan, weights, stored, 5)
+            spec = plan.rules[5]
+            for terms, rule, side in ((cache.key_terms, spec.key, "key"), (cache.value_terms, spec.value, "value")):
+                assert len(terms) == len(rule.sources), strategy
+                for (tensor, weight), j in zip(terms, rule.sources):
+                    assert tensor is getattr(stored[j], side + "s"), (strategy, side, j)
+                    np.testing.assert_array_equal(weight.numpy(), fusion_weight(weights, rule, side, 5, j).numpy())
 
 
 def rows_cache(start, count, layer=1, shape=(2, 3), dtype=np.float64):
     """A cache whose row r holds the value r (keys) and -r (values)."""
     heads, depth = shape
     grid = np.broadcast_to(np.arange(start, start + count, dtype=dtype)[None, :, None], (heads, count, depth))
-    return LayerCache(Tensor(grid, dtype=dtype), Tensor(-grid, dtype=dtype), layer)
+    return LayerCache.stored(Tensor(grid, dtype=dtype), Tensor(-grid, dtype=dtype), layer)
 
 
 class TestLayerCacheAppend:
@@ -402,16 +438,16 @@ class TestLayerCacheAppend:
         # a wider value dtype (grad_check's longdouble) is not rounded to the keys' dtype
         keys = rows_cache(0, 3).keys
         values = Tensor(np.full((2, 3, 3), 1 / 3, dtype=np.longdouble))
-        c = LayerCache(keys, values, 1).buffered(capacity=8)
+        c = LayerCache.stored(keys, values, 1).buffered(capacity=8)
         assert c.keys.dtype == np.float64 and c.values.dtype == np.longdouble
         assert np.all(c.values.numpy() == values.numpy())
-        grown = c.append(LayerCache(rows_cache(3, 1).keys, Tensor(values.numpy()[:, :1]), 1), capacity=8)
+        grown = c.append(LayerCache.stored(rows_cache(3, 1).keys, Tensor(values.numpy()[:, :1]), 1), capacity=8)
         assert grown.values.dtype == np.longdouble and grown.length == 4
 
     def test_value_dtype_change_rejected(self):
         new = rows_cache(3, 1)
         with pytest.raises(TypeError, match="layer 1: cannot append float32 value rows"):
-            rows_cache(0, 3).append(LayerCache(new.keys, Tensor(new.values.numpy(), dtype=np.float32), 1), capacity=8)
+            rows_cache(0, 3).append(LayerCache.stored(new.keys, Tensor(new.values.numpy(), dtype=np.float32), 1), capacity=8)
 
     def test_float32_stays_float32(self):
         c = rows_cache(0, 3, dtype=np.float32).append(rows_cache(3, 1, dtype=np.float32), capacity=8)

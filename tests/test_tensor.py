@@ -295,6 +295,24 @@ class TestSwiglu:
         err = grad_check(lambda: (swiglu(x) * w).sum(), [x])
         assert err < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_bit_equals_the_concatenated_halves(self, dtype):
+        # each half's last multiply writes into one array; the values are the
+        # two halves' products, concatenated, to the bit
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 5, 8)), dtype=dtype)
+        w = Tensor(rng.standard_normal((2, 5, 4)), dtype=dtype)
+        with Tape() as tape:
+            tape.watch(x)
+            y = swiglu(x)
+            tape.backward((y * w).sum())
+        g, gate, val = tape.grad(y), x.numpy()[..., :4], x.numpy()[..., 4:]
+        sig = _sigmoid(gate)
+        want = np.concatenate([g * val * sig * (1.0 + gate * (1.0 - sig)), g * (gate * sig)], axis=-1)
+        got = tape.grad(x)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
 
 class TestGradCheck:
     def test_analytic_quadratic(self):
