@@ -95,19 +95,20 @@ def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     out = reduce(np.add, (_weighted(np.matmul(p, v.data), w) for v, w in value_terms))
     out /= rows
     (k, _), (v, _) = key_terms[0], value_terms[0]
+    k_data, v_data, q_shape = k.data, v.data, q.shape
 
     def backward(g):
         # P = p / rows is never formed: the row sums divide the small
         # [.., s_q, D] gradient instead, and dp below is dL/dP / rows
         gg = g.reshape(out.shape) / rows
-        dp = np.matmul(gg, np.swapaxes(v.data, -1, -2))
+        dp = np.matmul(gg, np.swapaxes(v_data, -1, -2))
         dv = np.matmul(np.swapaxes(p, -1, -2), gg)
         dp -= (p * dp).sum(axis=-1, keepdims=True) / rows
         dz = scale * p * dp  # masked entries have p == 0
         dk = np.matmul(np.swapaxes(dz, -1, -2), qg)
-        return np.matmul(dz, k.data).reshape(q.shape), dk, dv
+        return np.matmul(dz, k_data).reshape(q_shape), dk, dv
 
-    return record_op("attention", out.reshape(q.shape), (q, k, v), backward)
+    return record_op("attention", out.reshape(q_shape), (q, k, v), backward)
 
 
 def attend(q: Tensor, cache: LayerCache) -> Tensor:

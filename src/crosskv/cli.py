@@ -124,6 +124,15 @@ def _model_config(args, strategy: str | None = None) -> ModelConfig:
         raise ConfigError(str(e))
 
 
+def _strategy_configs(args, strategies: list[str]) -> tuple[list[str], list[ModelConfig]]:
+    """Canonical names and configs of `strategies`, all built before any model runs; a repeat is refused."""
+    configs = [_model_config(args, strategy=strategy) for strategy in strategies]
+    names = [canonical_strategy(strategy) for strategy in strategies]
+    if len(set(names)) < len(names):  # a repeat's rows or files would duplicate or overwrite the first's
+        raise ConfigError(f"--strategies names {next(n for n in names if names.count(n) > 1)} twice")
+    return names, configs
+
+
 def _config_flags(path: str) -> list[str]:
     """A config file's `key = value` lines as `--key=value` flags."""
     try:
@@ -349,14 +358,12 @@ def _cmd_decode_bench(args) -> int:
     strategies = args.strategies or args.strategy.split(",")
     if args.new_tokens < 0:
         raise ConfigError(f"argument --new-tokens: expected a nonnegative integer, got {args.new_tokens}")
+    names, configs = _strategy_configs(args, strategies)
+    if args.prompt_len + args.new_tokens > args.max_seq:  # --max-seq is every config's max_seq_len
+        raise ConfigError(f"prompt {args.prompt_len} + new tokens {args.new_tokens} exceeds max sequence {args.max_seq}")
     rng = np.random.default_rng(args.seed)
     rows = []
-    for strategy in strategies:
-        cfg = _model_config(args, strategy=strategy)
-        if args.prompt_len + args.new_tokens > cfg.max_seq_len:
-            raise ConfigError(
-                f"prompt {args.prompt_len} + new tokens {args.new_tokens} exceeds max sequence {cfg.max_seq_len}"
-            )
+    for name, cfg in zip(names, configs):
         model = build_model(cfg, seed=args.seed)
         prompt = rng.integers(0, cfg.vocab_size, size=args.prompt_len)
         res = model.decode(prompt, args.new_tokens)
@@ -364,7 +371,7 @@ def _cmd_decode_bench(args) -> int:
         dev = float(np.abs(full[: len(res.logits)] - res.logits).max())
         rows.append(
             {
-                "strategy": canonical_strategy(strategy),
+                "strategy": name,
                 "prompt_len": args.prompt_len,
                 "new_tokens": args.new_tokens,
                 "peak_cache_layers": res.peak_cache_layers,
@@ -389,10 +396,7 @@ def _cmd_compare(args) -> int:
     strategies = args.strategies
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
-    configs = [_model_config(args, strategy=strategy) for strategy in strategies]  # all checked before any run
-    names = [canonical_strategy(strategy) for strategy in strategies]
-    if len(set(names)) < len(names):  # a repeat's files would overwrite the first run's
-        raise ConfigError(f"--strategies names {next(n for n in names if names.count(n) > 1)} twice")
+    names, configs = _strategy_configs(args, strategies)
     _check_training(args)
     summary_prompt = np.arange(min(16, args.vocab))  # each summary row decodes it plus 8 new tokens
     if summary_prompt.size + 8 > args.max_seq:  # --max-seq is every config's max_seq_len

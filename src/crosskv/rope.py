@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import DimensionError, Tensor, record_op
+from .tensor import DimensionError, Tensor, _as_tensor, record_op
 
 __all__ = [
     "RopeSchedule",
@@ -87,7 +87,7 @@ def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
     of each of the s rows. Differentiable (the backward pass rotates the
     gradient by the opposite angle).
     """
-    x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    x = _as_tensor(x)
     if x.ndim < 2 or x.shape[-1] != sched.head_dim:
         raise DimensionError(f"apply_rope: input {x.shape} does not end in head_dim {sched.head_dim}")
     positions = np.asarray(positions)
@@ -123,7 +123,7 @@ def expand_pairs(free) -> Tensor:
     Differentiable: the backward pass sums each pair's gradient back into
     the single free entry.
     """
-    free = free if isinstance(free, Tensor) else Tensor(np.asarray(free, dtype=np.float64))
+    free = _as_tensor(free)
     if free.ndim != 1:
         raise DimensionError(f"expand_pairs needs a vector, got {free.shape}")
     out = np.repeat(free.data, 2)

@@ -160,9 +160,6 @@ class SharingPlan:
     def reconstruction_layers(self) -> tuple[int, ...]:
         return tuple(sorted(self.rules))
 
-    def sources(self, i: int) -> tuple[int, ...]:
-        return self.rules[i].sources
-
     @property
     def has_fusion_weights(self) -> bool:
         return any(
@@ -262,7 +259,7 @@ class _CacheBuffer:
     def cache(self, layer: int) -> "LayerCache":
         """The written rows, as read-only row-prefix views."""
         rows = np.s_[..., : self.rows, :]
-        keys, values = Tensor._adopt_rows(self.keys[rows]), Tensor._adopt_rows(self.values[rows])
+        keys, values = (Tensor._wrap(buf[rows], f"layer {layer} cache") for buf in (self.keys, self.values))
         return LayerCache(((keys, None),), ((values, None),), layer, self)
 
 

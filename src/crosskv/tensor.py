@@ -13,12 +13,12 @@ Outside a tape, the same functions are plain (and fast) numpy calls, which
 is the path incremental decoding uses.
 
 Conventions:
-  - reshapes and transposes copy; the one strided view is a storage
-    layer's decode cache, a row prefix `buf[..., :n, :]` of a preallocated
-    buffer (`sharing.LayerCache.buffered` and `append` on a
-    `LayerCache.stored`), read-only and never written again,
-  - a `matmul` by a 2-D weight is one GEMM over the rows of all leading
-    axes, forward and backward; only other shapes batch per slice,
+  - `Tensor._wrap` adopts arrays without a copy; reshapes and transposes
+    copy, so the one strided view is a storage layer's decode cache, a row
+    prefix `buf[..., :n, :]` of a buffer (`sharing.LayerCache.buffered`),
+  - `matmul`'s right operand is a 2-D weight: one GEMM over all rows,
+  - backward closures capture arrays and shapes, never a recorded Tensor
+    (which points at its tape), so a step's graph dies with its tape,
   - float64 is the default dtype (float32 is opt-in for training;
     longdouble serves `grad_check`'s finite differences),
   - non-finite values raise `EvaluationError` naming the op that made
@@ -114,29 +114,14 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, op: str) -> "Tensor":
-        """Adopt a freshly computed array without copying."""
+        """Adopt an op's result, or a cache buffer's row-prefix view, read-only and without a copy."""
         t = object.__new__(cls)
         if arr.size == 0:  # numpy extents are nonnegative, so this is `any extent == 0`
             raise DimensionError(f"{op}: extents must be positive, got {arr.shape}")
         if _THREAD.check_ops:
             _check_finite(arr, op)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         t.data = arr
-        t.tape = None
-        t.node_id = None
-        return t
-
-    @classmethod
-    def _adopt_rows(cls, view: np.ndarray) -> "Tensor":
-        """Adopt a row-prefix view of a cache buffer as is: no copy, no
-        contiguity, no finite check (its rows were checked when written).
-        The view turns read-only; the buffer behind it stays writable for
-        rows past the view."""
-        view.setflags(write=False)
-        t = object.__new__(cls)
-        t.data = view
         t.tape = None
         t.node_id = None
         return t
@@ -319,17 +304,18 @@ def record_op(
     op: str,
     out: np.ndarray,
     parents: Sequence[Tensor],
-    backward: Callable[[np.ndarray], tuple] | None,
+    backward: Callable[[np.ndarray], tuple],
 ) -> Tensor:
     """Wrap an op result, recording a node when any parent is tracked.
 
     `backward(grad_out)` must return one gradient array (or None) per
-    parent, in order. This is the extension point other modules use to
+    parent, in order, and should capture arrays and shapes, not the
+    parent tensors. This is the extension point other modules use to
     define differentiable operations of their own.
     """
     t = Tensor._wrap(out, op)
     tape = _active_tape()
-    if tape is None or backward is None:
+    if tape is None:
         return t
     pids = tuple(
         p.node_id if (p.tape is tape and p.node_id is not None) else -1 for p in parents
@@ -357,9 +343,10 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return record_op("add", out, (a, b), backward)
 
@@ -373,43 +360,27 @@ def mul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return record_op("mul", out, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; stacked inputs batch over leading axes (dA = dC·Bᵀ, dB = Aᵀ·dC).
+    """Product [..., K] x [K, N] -> [..., N] of an activation and a 2-D weight.
 
-    With a 2-D `b` (every weight product in the model) the leading axes of
-    `a` fold into rows: [..., K] is one [rows, K] matrix, so the forward is
-    one GEMM and the backward two, dA = G·Bᵀ and dB = A_rowsᵀ·G_rows, with
-    no per-slice products to sum. Other shapes batch over leading axes.
+    The leading axes of `a` fold into rows: [..., K] is one [rows, K]
+    matrix, so the forward is one GEMM and the backward two, dA = G·Bᵀ and
+    dB = A_rowsᵀ·G_rows. Any other right operand raises `DimensionError`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ: {a.shape} x {b.shape}")
-    if b.ndim == 2:
-        rows, b_data = a.data.reshape(-1, a.shape[-1]), b.data
-        out = np.matmul(rows, b_data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def backward_rows(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            return np.matmul(g_rows, b_data.T).reshape(a.shape), np.matmul(rows.T, g_rows)
-
-        return record_op("matmul", out, (a, b), backward_rows)
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError:
-        raise DimensionError(f"matmul: batch extents differ: {a.shape} x {b.shape}")
-    a_data, b_data = a.data, b.data
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise DimensionError(f"matmul needs [..., K] x [K, N], got {a.shape} x {b.shape}")
+    rows, b_data, a_shape = a.data.reshape(-1, a.shape[-1]), b.data, a.shape
+    out = np.matmul(rows, b_data).reshape(a_shape[:-1] + b.shape[-1:])
 
     def backward(g):
-        da = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
-        return da, db
+        g_rows = g.reshape(-1, g.shape[-1])
+        return np.matmul(g_rows, b_data.T).reshape(a_shape), np.matmul(rows.T, g_rows)
 
     return record_op("matmul", out, (a, b), backward)
 
@@ -429,8 +400,8 @@ def matmul_t(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        da = _unbroadcast(np.matmul(g, b_data), a.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), a_data), b.shape)
+        da = _unbroadcast(np.matmul(g, b_data), a_data.shape)
+        db = _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), a_data), b_data.shape)
         return da, db
 
     return record_op("matmul_t", out, (a, b), backward)
@@ -529,7 +500,7 @@ def swiglu(x) -> Tensor:
     out = silu * val
 
     def backward(g):
-        dx = np.empty(x.shape, dtype=np.result_type(g, x.data))
+        dx = np.empty(g.shape[:-1] + (2 * h,), dtype=np.result_type(g, gate))
         np.multiply(g * val * sig, 1.0 + gate * (1.0 - sig), out=dx[..., :h])
         np.multiply(g, silu, out=dx[..., h:])
         return (dx,)

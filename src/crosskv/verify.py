@@ -298,7 +298,7 @@ def _sharing_checks() -> list[CheckResult]:
         plan = plan_for_strategy(strategy, 8)
         storage = set(plan.storage_layers)
         for i in plan.reconstruction_layers:
-            ok &= set(plan.sources(i)) <= storage
+            ok &= set(plan.rules[i].sources) <= storage
     out.append(_result("sharing", "plans_acyclic_sources_stored", ok))
 
     # One-hot fusion weights reproduce direct reuse exactly.

@@ -303,6 +303,14 @@ class TestDecodeBench:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["strategies"] == ["mha", "yoco"]  # as typed
 
+    def test_bad_later_strategy_builds_no_model(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(crosskv.cli, "build_model", lambda *a, **k: built.append(a))
+        args = ["decode-bench", "--strategies", "Vanilla,bogus", "--seed", "2", "--prompt-len", "4",
+                "--new-tokens", "2", "--output-dir", str(tmp_path / "out")] + TINY_MODEL
+        assert run(args) == EXIT_CONFIG
+        assert built == [] and not (tmp_path / "out").exists()
+
     def test_manifest_records_host(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -424,11 +432,12 @@ class TestNamedErrors:
             (["decode-bench", "--prompt-len", "0"], "--prompt-len"),
             (["decode-bench", "--strategies", ","], "--strategies"),
             (["decode-bench", "--new-tokens", "-1"], "--new-tokens"),
+            (["decode-bench", "--strategies", "mha,Vanilla"], "--strategies names Vanilla twice"),
             (["train", "--seed", "1", "--steps", "abc"], "--steps"),
         ],
         ids=["cost-S-not-int", "cost-S-zero", "train-steps", "train-eval-interval", "compare-batch-size",
              "compare-repeated-strategy", "decode-prompt-len", "decode-no-strategies", "decode-new-tokens",
-             "train-steps-not-int"],
+             "decode-repeated-strategy", "train-steps-not-int"],
     )
     def test_exits_one_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"

@@ -502,7 +502,7 @@ class TestFiniteChecks:
         def nan_when_unchecked(i, x, positions, caches):
             out = block(i, x, positions, caches)
             if i == 2 and not crosskv.tensor._THREAD.check_ops:
-                return Tensor._adopt_rows(np.full(out.shape, np.nan))
+                return Tensor._wrap(np.full(out.shape, np.nan), "nan block")
             return out
 
         monkeypatch.setattr(m, "_block", nan_when_unchecked)

@@ -52,19 +52,19 @@ class TestPlans:
         plan = plan_for_strategy("YOCO", 16)
         assert plan.storage_layers == tuple(range(1, 9))
         for i in range(9, 17):
-            assert plan.sources(i) == (8,)
+            assert plan.rules[i].sources == (8,)
             assert plan.rules[i].key.kind == DIRECT
 
     def test_cla_previous_layer_mapping(self):
         plan = plan_for_strategy("CLA", 4)
         assert plan.storage_layers == (1, 3)
-        assert plan.sources(2) == (1,)
-        assert plan.sources(4) == (3,)
+        assert plan.rules[2].sources == (1,)
+        assert plan.rules[4].sources == (3,)
 
     def test_fusedkv_two_anchor_fusion(self):
         plan = plan_for_strategy("FusedKV", 16, 8)
         for i in range(9, 17):
-            assert plan.sources(i) == (1, 8)
+            assert plan.rules[i].sources == (1, 8)
             assert plan.rules[i].key.kind == FUSION_VECTOR
 
     def test_lite_asymmetric_direct(self):

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +78,28 @@ class TestOptimizerParams:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV", "DenseFusion"])
+    def test_step_graph_is_freed_without_the_cycle_collector(self, strategy, monkeypatch):
+        # backward closures capture arrays and shapes, never a recorded Tensor
+        # (which points at its tape), so reference counting frees each step's graph
+        tapes, alive_at_start = [], []
+
+        class WatchedTape(crosskv.training.Tape):
+            def __init__(self):
+                super().__init__()
+                alive_at_start.append(sum(ref() is not None for ref in tapes))
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(crosskv.training, "Tape", WatchedTape)
+        m = build_model(tiny_cfg(strategy, n_layers=4), seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            train(m, "copy", 4, seed=1, batch_size=2, prompt_len=4)
+            assert alive_at_start == [0, 0, 0, 0] and tapes[-1]() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize(
         "task, options",
         [("char-corpus", None), ("induction-heads", {"vocab_size": 8}), ("copy", None)],
