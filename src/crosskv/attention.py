@@ -37,7 +37,6 @@ chain of separate ops to roundoff (the loop oracle in the tests, 1e-12).
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -51,64 +50,66 @@ from .tensor import masked_softmax, matmul, matmul_t, repeat  # noqa: F401
 __all__ = ["attend"]
 
 
-def _check_terms(q: Tensor, cache) -> None:
+def _check_terms(q_shape: tuple, key_terms: tuple, value_terms: tuple) -> None:
     """q: [..., H_q, s_q, D]; every term: [..., H_kv, s_k, D]; weights: scalars or [D]."""
-    if not cache.key_terms or not cache.value_terms:
+    if not key_terms or not value_terms:
         raise DimensionError("attention needs at least one key term and one value term")
-    terms = tuple(cache.key_terms) + tuple(cache.value_terms)
-    shape = terms[0][0].shape
-    if len(shape) < 3 or q.ndim != len(shape):
-        raise DimensionError(f"queries {q.shape} and cache {shape} are not both [..., H, s, D]")
-    if q.shape[:-3] != shape[:-3] or q.shape[-1] != shape[-1]:
-        raise DimensionError(f"leading dims or head_dim differ: queries {q.shape} vs cache {shape}")
-    if q.shape[-3] % shape[-3] != 0:
-        raise DimensionError(f"{q.shape[-3]} query heads not divisible by {shape[-3]} kv heads")
-    if q.shape[-2] > shape[-2]:
-        raise DimensionError(f"{q.shape[-2]} query rows but only {shape[-2]} cache rows")
-    for tensor, weight in terms:
-        if tensor.shape != shape:
-            raise DimensionError(f"cache terms differ in shape: {tensor.shape} vs {shape}")
-        if weight is not None and weight.shape not in ((), (shape[-1],)):
-            raise DimensionError(f"weight {weight.shape} is neither a scalar nor [{shape[-1]}]")
-
-
-def _weighted(x: np.ndarray, weight: Tensor | None) -> np.ndarray:
-    return x if weight is None else x * weight.data
+    shape = key_terms[0][0].data.shape
+    if len(shape) < 3 or len(q_shape) != len(shape):
+        raise DimensionError(f"queries {q_shape} and cache {shape} are not both [..., H, s, D]")
+    if q_shape[:-3] != shape[:-3] or q_shape[-1] != shape[-1]:
+        raise DimensionError(f"leading dims or head_dim differ: queries {q_shape} vs cache {shape}")
+    if q_shape[-3] % shape[-3] != 0:
+        raise DimensionError(f"{q_shape[-3]} query heads not divisible by {shape[-3]} kv heads")
+    if q_shape[-2] > shape[-2]:
+        raise DimensionError(f"{q_shape[-2]} query rows but only {shape[-2]} cache rows")
+    for tensor, weight in key_terms + value_terms:
+        if tensor.data.shape != shape:
+            raise DimensionError(f"cache terms differ in shape: {tensor.data.shape} vs {shape}")
+        if weight is not None and weight.data.shape not in ((), (shape[-1],)):
+            raise DimensionError(f"weight {weight.data.shape} is neither a scalar nor [{shape[-1]}]")
 
 
 def _attention(q: Tensor, key_terms, value_terms) -> Tensor:
     """softmax(Σ_j (w_j ⊙ q)·K_jᵀ / √D, causal) · Σ_j V_j ⊙ b_j as one tape
     op, with q viewed as [..., H_kv, g·s_q, D]. Only a tape-free call passes
     weights, so the backward covers one unweighted key and value term."""
-    h_kv, s_k, depth = key_terms[0][0].shape[-3:]
-    s_q, scale = q.shape[-2], 1.0 / math.sqrt(depth)
-    qg = q.data.reshape(q.shape[:-3] + (h_kv, -1, depth))
+    q_shape = q.data.shape
+    h_kv, s_k, depth = key_terms[0][0].data.shape[-3:]
+    s_q, scale = q_shape[-2], 1.0 / math.sqrt(depth)
+    qg = q.data.reshape(q_shape[:-3] + (h_kv, -1, depth))
     qs = qg * scale
-    p = reduce(np.add, (np.matmul(_weighted(qs, w), np.swapaxes(k.data, -1, -2)) for k, w in key_terms))
+    p = None  # the terms' sum, added left to right
+    for k, w in key_terms:
+        term = np.matmul(qs if w is None else qs * w.data, k.data.swapaxes(-1, -2))
+        p = term if p is None else p + term
     _check_finite(p, "attention scores")  # exp(-inf) below is a finite 0
     if s_q > 1:  # query row t sees cache rows up to s_k - s_q + t
         newest = p.reshape(p.shape[:-2] + (-1, s_q, s_k))[..., s_k - s_q :]
         np.copyto(newest, -np.inf, where=~np.tri(s_q, dtype=bool))
-    p -= p.max(axis=-1, keepdims=True)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    rows = p.sum(axis=-1, keepdims=True)
-    out = reduce(np.add, (_weighted(np.matmul(p, v.data), w) for v, w in value_terms))
+    rows = np.add.reduce(p, axis=-1, keepdims=True)
+    out = None
+    for v, w in value_terms:
+        term = np.matmul(p, v.data)
+        term = term if w is None else term * w.data
+        out = term if out is None else out + term
     out /= rows
-    (k, _), (v, _) = key_terms[0], value_terms[0]
-    k_data, v_data, q_shape = k.data, v.data, q.shape
+    k_data, v_data = key_terms[0][0].data, value_terms[0][0].data
 
     def backward(g):
         # P = p / rows is never formed: the row sums divide the small
         # [.., s_q, D] gradient instead, and dp below is dL/dP / rows
         gg = g.reshape(out.shape) / rows
-        dp = np.matmul(gg, np.swapaxes(v_data, -1, -2))
-        dv = np.matmul(np.swapaxes(p, -1, -2), gg)
-        dp -= (p * dp).sum(axis=-1, keepdims=True) / rows
+        dp = np.matmul(gg, v_data.swapaxes(-1, -2))
+        dv = np.matmul(p.swapaxes(-1, -2), gg)
+        dp -= np.add.reduce(p * dp, axis=-1, keepdims=True) / rows
         dz = scale * p * dp  # masked entries have p == 0
-        dk = np.matmul(np.swapaxes(dz, -1, -2), qg)
+        dk = np.matmul(dz.swapaxes(-1, -2), qg)
         return np.matmul(dz, k_data).reshape(q_shape), dk, dv
 
-    return record_op("attention", out.reshape(q_shape), (q, k, v), backward)
+    return record_op("attention", out.reshape(q_shape), (q, key_terms[0][0], value_terms[0][0]), backward)
 
 
 def attend(q: Tensor, cache: LayerCache) -> Tensor:
@@ -122,8 +123,8 @@ def attend(q: Tensor, cache: LayerCache) -> Tensor:
     query row, or while a tape records on this thread, each side's terms
     are summed first; else they fold. Returns [..., H_q, s_q, D].
     """
-    _check_terms(q, cache)
-    key_terms, value_terms = cache.key_terms, cache.value_terms
-    if q.shape[-2] > 1 or _active_tape() is not None:
+    key_terms, value_terms, q_shape = cache.key_terms, cache.value_terms, q.data.shape
+    _check_terms(q_shape, key_terms, value_terms)
+    if q_shape[-2] > 1 or _active_tape() is not None:
         key_terms, value_terms = ((_sum_terms(key_terms), None),), ((_sum_terms(value_terms), None),)
     return _attention(q, key_terms, value_terms)

@@ -23,9 +23,9 @@ records (a tape-free one-row step) and sums them otherwise, so
 Whether a tape records on the thread decides buffering and finiteness
 checks too: recording passes sum terms, keep tracked caches and check
 every op's result; tape-free ones fold, buffer, and check each block's
-output once, re-running a block that fails with every op checked so the
-`EvaluationError` still names the op (`_checked_once`). The logits, the
-prefill chunks and the cache appends are checked either way.
+output once, under one unchecked context per pass, re-running a block
+that fails with every op checked so the `EvaluationError` still names the
+op (`_checked_once`). The logits, the prefill chunks and the cache appends are checked either way.
 The queries handed to `attend(q, cache)` are the cache's last rows.
 """
 
@@ -54,6 +54,7 @@ from .tensor import (
     EvaluationError,
     Tensor,
     _active_tape,
+    _check_finite,
     _unchecked_ops,
     cross_entropy,
     embed,
@@ -145,11 +146,11 @@ def _swap_head_axes(t: Tensor, grouped: tuple, out_shape: tuple, op: str) -> Ten
     """`t` read as `grouped` [..., A, B, D], axes A and B swapped, then
     reshaped to `out_shape`; one tape op. Splitting heads reads
     [..., T, H*D] as [..., T, H, D]; merging reads [..., H, T, D] as is."""
-    swapped = np.ascontiguousarray(np.swapaxes(t.data.reshape(grouped), -2, -3))
-    in_shape, mid_shape = t.shape, swapped.shape
+    swapped = np.ascontiguousarray(t.data.reshape(grouped).swapaxes(-2, -3))
+    in_shape, mid_shape = t.data.shape, swapped.shape
 
     def backward(g):
-        return (np.ascontiguousarray(np.swapaxes(g.reshape(mid_shape), -2, -3)).reshape(in_shape),)
+        return (np.ascontiguousarray(g.reshape(mid_shape).swapaxes(-2, -3)).reshape(in_shape),)
 
     return record_op(op, swapped.reshape(out_shape), (t,), backward)
 
@@ -217,8 +218,8 @@ class DecoderModel:
 
     def _split_heads(self, t: Tensor, n_heads: int) -> Tensor:
         # [..., T, H*D] -> [..., H, T, D]
-        lead, T = t.shape[:-2], t.shape[-2]
-        depth = self.cfg.head_dim
+        shape, depth = t.data.shape, self.sched.head_dim
+        lead, T = shape[:-2], shape[-2]
         return _swap_head_axes(t, lead + (T, n_heads, depth), lead + (n_heads, T, depth), "split_heads")
 
     def _merge_heads(self, t: Tensor) -> Tensor:
@@ -257,19 +258,22 @@ class DecoderModel:
         every layer's `_block` with the storage caches in `caches`."""
         return self._layers(embed(self.params["embed"], tokens), positions, caches)
 
-    def _checked_once(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
-        """`_block` with its ops' finite checks left to one check of its
-        output (tape-free passes). On a non-finite output, or an error from
-        a check the ops still make, caches[i] goes back to what it was and
-        the block runs again checking every op, so the error names the op."""
-        before = caches.get(i)
-        try:
-            with _unchecked_ops(), np.errstate(all="ignore"):
-                out = self._block(i, x, positions, caches)
-            if np.isfinite(out.data).all():
-                return out
-        except EvaluationError:
-            pass
+    def _checked_once(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+        """Every `_block` in one unchecked context, each block's output checked
+        once (tape-free passes). On a non-finite output, or an error from a
+        check the ops still make, caches[i] goes back to what it was and block
+        i runs again outside the context, checking every op, to name the op."""
+        with _unchecked_ops(), np.errstate(all="ignore"):
+            for i in range(1, self.cfg.n_layers + 1):
+                before = caches.get(i)
+                try:
+                    out = self._block(i, x, positions, caches)
+                    _check_finite(out.data, "block output")
+                except EvaluationError:
+                    break
+                x = out
+            else:
+                return x
         if before is None:
             caches.pop(i, None)
         else:
@@ -281,9 +285,11 @@ class DecoderModel:
         """`_forward` after the embedding: logits for the rows of `x`. A
         taped pass checks every op's result finite; a tape-free one checks
         each block's output once (`_checked_once`)."""
-        block = self._block if _active_tape() is not None else self._checked_once
-        for i in range(1, self.cfg.n_layers + 1):
-            x = block(i, x, positions, caches)
+        if _active_tape() is not None:
+            for i in range(1, self.cfg.n_layers + 1):
+                x = self._block(i, x, positions, caches)
+        else:
+            x = self._checked_once(x, positions, caches)
         h = rmsnorm(x, self.params["final_norm"])
         return matmul(h, self.params["unembed"])
 
@@ -357,7 +363,7 @@ class DecoderModel:
 
         tokens = list(prompt)
         for _ in range(new_tokens):
-            nxt = int(np.argmax(logits_rows[-1]))
+            nxt = int(logits_rows[-1].argmax())
             tokens.append(nxt)
             if len(tokens) == total:
                 break

@@ -17,6 +17,9 @@ identity this module exists to verify.
 A key fusion weight is stored as its D/2 free values and `expand_pairs`
 duplicates them where the weight is applied, so pair symmetry holds by
 construction and gradients accumulate into the free vector.
+
+`apply_rope` caches its cos/sin tables per position vector and dtype, so a
+hit costs one lookup; a miss checks positions in [0, 2**63) and casts once.
 """
 
 from __future__ import annotations
@@ -60,24 +63,17 @@ class RopeSchedule:
 
 
 @lru_cache(maxsize=256)
-def _rotation_tables_cached(head_dim: int, base: float, pos_bytes: bytes, n: int):
-    positions = np.frombuffer(pos_bytes, dtype=np.int64, count=n)
-    phase = positions[:, None].astype(np.float64) * RopeSchedule(head_dim, base).angles[None, :]
-    cos, sin = np.cos(phase), np.sin(phase)
+def _rotation_tables(head_dim: int, base: float, pos_bytes: bytes, pos_dtype: np.dtype, dtype: np.dtype):
+    """cos/sin of position*theta_j in `dtype`, shape [len(positions), D/2]."""
+    positions = np.frombuffer(pos_bytes, dtype=pos_dtype)
+    as_int64 = positions.astype(np.int64)  # a uint64 position from 2**63 on wraps negative here
+    if as_int64.min() < 0:
+        raise ValueError(f"positions must be in [0, 2**63), got {positions[as_int64 < 0][0]}")
+    phase = as_int64[:, None].astype(np.float64) * RopeSchedule(head_dim, base).angles[None, :]
+    cos, sin = np.cos(phase).astype(dtype), np.sin(phase).astype(dtype)
     cos.setflags(write=False)
     sin.setflags(write=False)
     return cos, sin
-
-
-def _rotation_tables(sched: RopeSchedule, positions: np.ndarray):
-    """cos/sin of position*theta_j, shape [len(positions), D/2]; cached,
-    since forward passes reuse the same position vectors constantly."""
-    if positions.dtype.kind not in "iu":
-        raise TypeError("positions must be integers")
-    if positions.min() < 0:
-        raise ValueError("positions must be nonnegative")
-    positions = positions.astype(np.int64, copy=False)
-    return _rotation_tables_cached(sched.head_dim, sched.base, positions.tobytes(), positions.size)
 
 
 def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
@@ -88,23 +84,25 @@ def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
     gradient by the opposite angle).
     """
     x = _as_tensor(x)
-    if x.ndim < 2 or x.shape[-1] != sched.head_dim:
-        raise DimensionError(f"apply_rope: input {x.shape} does not end in head_dim {sched.head_dim}")
+    x_data = x.data
+    if x_data.ndim < 2 or x_data.shape[-1] != sched.head_dim:
+        raise DimensionError(f"apply_rope: input {x_data.shape} does not end in head_dim {sched.head_dim}")
     positions = np.asarray(positions)
-    if positions.shape != (x.shape[-2],):
+    if positions.shape != (x_data.shape[-2],):
         raise DimensionError(
             f"apply_rope: {positions.shape[0] if positions.ndim == 1 else positions.shape} "
-            f"positions for {x.shape[-2]} rows"
+            f"positions for {x_data.shape[-2]} rows"
         )
-    cos, sin = _rotation_tables(sched, positions)
-    cos = cos.astype(x.dtype)
-    sin = sin.astype(x.dtype)
-
-    even = x.data[..., 0::2]
-    odd = x.data[..., 1::2]
-    out = np.empty_like(x.data)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    if positions.dtype.kind not in "iu":
+        raise TypeError("positions must be integers")
+    cos, sin = _rotation_tables(sched.head_dim, sched.base, positions.tobytes(), positions.dtype, x_data.dtype)
+    even, odd = x_data[..., 0::2], x_data[..., 1::2]
+    out = np.empty(x_data.shape, x_data.dtype)
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]  # even·cos - odd·sin, even·sin + odd·cos
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(even, sin, out=out_odd)
+    out_odd += odd * cos
 
     def backward(g):
         ge = g[..., 0::2]

@@ -241,10 +241,10 @@ class _CacheBuffer:
 
     __slots__ = ("keys", "values", "rows")
 
-    def __init__(self, like: "LayerCache", capacity: int):
-        shape = like.keys.shape[:-2] + (capacity, like.keys.shape[-1])
-        self.keys = np.empty(shape, dtype=like.keys.dtype)
-        self.values = np.empty(shape, dtype=like.values.dtype)
+    def __init__(self, keys: np.ndarray, values: np.ndarray, capacity: int):
+        shape = keys.shape[:-2] + (capacity, keys.shape[-1])
+        self.keys = np.empty(shape, dtype=keys.dtype)
+        self.values = np.empty(shape, dtype=values.dtype)
         self.rows = 0
 
     def write(self, keys: np.ndarray, values: np.ndarray, layer: int) -> None:
@@ -252,14 +252,14 @@ class _CacheBuffer:
         if n + m > capacity:
             raise ValueError(f"layer {layer}: {n} + {m} cache rows exceed capacity {capacity}")
         for buf, rows in ((self.keys, keys), (self.values, values)):
+            _check_finite(rows, f"layer {layer} cache append")
             buf[..., n : n + m, :] = rows
-            _check_finite(buf[..., n : n + m, :], f"layer {layer} cache append")
         self.rows = n + m
 
     def cache(self, layer: int) -> "LayerCache":
         """The written rows, as read-only row-prefix views."""
-        rows = np.s_[..., : self.rows, :]
-        keys, values = (Tensor._wrap(buf[rows], f"layer {layer} cache") for buf in (self.keys, self.values))
+        n, op = self.rows, f"layer {layer} cache"
+        keys, values = Tensor._wrap(self.keys[..., :n, :], op), Tensor._wrap(self.values[..., :n, :], op)
         return LayerCache(((keys, None),), ((values, None),), layer, self)
 
 
@@ -309,7 +309,7 @@ class LayerCache:
         tape records on this thread, the cache is returned as it is."""
         if _active_tape() is not None:
             return self
-        buf = _CacheBuffer(self, capacity)
+        buf = _CacheBuffer(self.keys.data, self.values.data, capacity)
         buf.write(self.keys.data, self.values.data, self.layer)
         return buf.cache(self.layer)
 
@@ -321,18 +321,20 @@ class LayerCache:
         rows stay as they are. Rows are checked finite and within capacity
         as they are written. Tape-free: the result records no gradient.
         """
-        n, m = self.length, new.length
-        if new.keys.shape[:-2] != self.keys.shape[:-2] or new.keys.shape[-1] != self.keys.shape[-1]:
-            raise DimensionError(f"layer {self.layer}: cannot append {new.keys.shape} to {self.keys.shape}")
-        for side, rows, cache in (("key", new.keys, self.keys), ("value", new.values, self.values)):
+        keys, values = self.key_terms[0][0].data, self.value_terms[0][0].data
+        new_keys, new_values = new.key_terms[0][0].data, new.value_terms[0][0].data
+        shape, new_shape, layer = keys.shape, new_keys.shape, self.layer
+        if new_shape[:-2] != shape[:-2] or new_shape[-1] != shape[-1]:
+            raise DimensionError(f"layer {layer}: cannot append {new_shape} to {shape}")
+        for side, rows, cache in (("key", new_keys, keys), ("value", new_values, values)):
             if rows.dtype != cache.dtype:
-                raise TypeError(f"layer {self.layer}: cannot append {rows.dtype} {side} rows to a {cache.dtype} cache")
-        buf = self._buffer
+                raise TypeError(f"layer {layer}: cannot append {rows.dtype} {side} rows to a {cache.dtype} cache")
+        n, m, buf = shape[-2], new_shape[-2], self._buffer
         if buf is None or buf.rows != n or buf.keys.shape[-2] < n + m:
-            buf = _CacheBuffer(self, capacity)
-            buf.write(self.keys.data, self.values.data, self.layer)
-        buf.write(new.keys.data, new.values.data, self.layer)
-        return buf.cache(self.layer)
+            buf = _CacheBuffer(keys, values, capacity)
+            buf.write(keys, values, layer)
+        buf.write(new_keys, new_values, layer)
+        return buf.cache(layer)
 
 
 def fusion_weight(weights: dict, rule: CacheRule, cache: str, i: int, j: int) -> Tensor:

@@ -540,6 +540,24 @@ def _model_checks() -> list[CheckResult]:
     dev32 = float(np.abs(full32[: len(res32.logits)] - res32.logits).max())
     out.append(_result("model", "single_precision_decode_within_1e-4", dev32 < 1e-4, f"max dev {dev32:.2e}"))
 
+    # One tape-free decode step reads what Table 1 counts (L = 8, d = 64, H_q = 8, context
+    # s = 41 after a 40-token prompt): the key and value term elements of the cache each layer
+    # hands the kernel. CLA and DenseFusion read their closed forms, 2L and L + L²/2 units of s·H_kv·D.
+    L, n, reads_ok, reads = 8, 40, True, []
+    for strategy, n_kv, closed in (("Vanilla", 8, 0), ("GQA", 2, 0), ("YOCO", 8, 0), ("FusedKV-Lite", 8, 0),
+                                   ("FusedKV", 8, 0), ("CLA", 8, 2 * L), ("DenseFusion", 8, L + L * L // 2)):
+        m = build_model(ModelConfig(n_layers=L, d_model=64, n_query_heads=8, n_kv_heads=n_kv, strategy=strategy), seed=0)
+        caches: dict = {}
+        m._forward(np.arange(n)[None], np.arange(n), caches)
+        m._forward(np.array([[n]]), np.array([n]), caches)
+        handed = [folded_cache(m.plan, m.params, caches, i) if i in m.plan.rules else caches[i] for i in range(1, L + 1)]
+        got = sum(t.size for c in handed for t, _ in c.key_terms + c.value_terms)
+        unit, spec = (n + 1) * n_kv * m.cfg.head_dim, WorkloadSpec(L, n + 1, m.cfg.head_dim, 8, n_kv)
+        want = closed * unit if closed else int(table1_costs(strategy, spec).cache_io_elements)
+        reads_ok &= got == want
+        reads.append(f"{strategy}:{got / unit:g}{' (closed form)' if closed else ''} vs {want / unit:g}")
+    out.append(_result("model", "decode_reads_match_table1", reads_ok, "units of s·H_kv·D: " + ", ".join(reads)))
+
     # Bottom-layer caches feed multiple layers when fused. Distinct gradient
     # paths into layer 1 = its own attention plus one per extra consumer of
     # its key or value cache on the tape.

@@ -455,10 +455,11 @@ class TestFiniteChecks:
     @pytest.mark.parametrize("name", ["layer3.w_in", "layer1.w_v"])
     def test_tape_free_overflow_names_the_op(self, strategy, name):
         # an overflowed w_v first trips the cache append's own check; the
-        # re-run with per-op checks still names the matmul
+        # re-run with per-op checks still names the matmul, and warns from
+        # the `ndarray.dot` its forward calls
         m = overflowing(build_model(small_cfg(strategy), seed=30), name)
         tokens = np.arange(6) % 16
-        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
             with pytest.raises(EvaluationError, match="^matmul:"):
                 m.decode(tokens, 3)
             with pytest.raises(EvaluationError, match="^matmul:"):

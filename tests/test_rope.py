@@ -3,13 +3,14 @@ import pytest
 
 from crosskv.rope import (
     RopeSchedule,
+    _rotation_tables,
     apply_rope,
     expand_pairs,
     fused_key_score,
     score_decomposed,
     score_direct,
 )
-from crosskv.tensor import DimensionError, Tape, Tensor, grad_check
+from crosskv.tensor import FD_DTYPE, DimensionError, Tape, Tensor, grad_check
 
 SCHED = RopeSchedule(8)
 
@@ -42,6 +43,39 @@ class TestApplyRope:
     def test_negative_positions_rejected(self):
         with pytest.raises(ValueError):
             apply_rope(Tensor(np.ones((1, 8))), np.array([-1]), SCHED)
+
+    def test_positions_beyond_int64_rejected(self):
+        # a uint64 position from 2**63 on would wrap to a negative int64 one
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 8)))
+        with pytest.raises(ValueError, match=r"got 9223372036854775808$"):
+            apply_rope(x, np.array([1, 2**63], dtype=np.uint64), SCHED)
+        in_range = apply_rope(x, np.array([1, 2**40], dtype=np.uint64), SCHED).numpy()
+        np.testing.assert_array_equal(in_range, apply_rope(x, np.array([1, 2**40]), SCHED).numpy())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, FD_DTYPE], ids=["float64", "float32", "longdouble"])
+    def test_bit_equal_to_float64_tables_cast_per_call(self, dtype):
+        # the tables are cached in each dtype; before, float64 tables were cast on every call
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 4, 6, 8)).astype(dtype)
+        pos = np.array([0, 1, 7, 100, 5000, 127])
+        phase = pos[:, None].astype(np.float64) * SCHED.angles[None, :]
+        cos, sin = np.cos(phase).astype(dtype), np.sin(phase).astype(dtype)
+        want = np.empty_like(x)
+        want[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        want[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        got = apply_rope(Tensor(x), pos, SCHED).numpy()
+        assert got.dtype == want.dtype == dtype
+        # equal values and signs: the same bits (longdouble's padding bytes are never written)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_one_table_miss_per_positions_and_dtype(self):
+        _rotation_tables.cache_clear()
+        x64, x32 = Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8), dtype=np.float32))
+        pos = np.array([3, 9])
+        for x, new_pos, misses in ((x64, pos, 1), (x64, pos, 1), (x32, pos, 2), (x32, np.array([3, 10]), 3), (x64, pos, 3)):
+            apply_rope(x, new_pos, SCHED)
+            assert _rotation_tables.cache_info().misses == misses
 
     def test_float_positions_rejected(self):
         with pytest.raises(TypeError, match="positions must be integers"):

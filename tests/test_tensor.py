@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from crosskv.tensor import (
+    FD_DTYPE,
+    RMSNORM_EPS,
     DimensionError,
     EvaluationError,
     Tape,
@@ -28,6 +30,17 @@ from crosskv.tensor import (
 
 def rand(*shape, seed=0):
     return Tensor(np.random.default_rng(seed).standard_normal(shape))
+
+
+def assert_same_bits(got, want):
+    """Equal values and signs, so the same bits for finite values; bytes
+    would also compare longdouble's padding, which no op writes."""
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32, FD_DTYPE], ids=["float64", "float32", "longdouble"])
 
 
 def causal(s):
@@ -83,6 +96,17 @@ class TestMatmul:
     def test_hand_arithmetic(self):
         out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.numpy().tolist() == [[11.0]]
+
+    @DTYPES
+    @pytest.mark.parametrize("lead", [(1, 1), (8, 17), (3, 128)], ids=["step", "batch", "chunk"])
+    def test_bit_equal_to_np_matmul_on_the_rows(self, dtype, lead):
+        # the forward is `ndarray.dot` of the folded rows; np.matmul gave these bits before
+        rng = np.random.default_rng(7)
+        for k, n in ((64, 64), (64, 256), (128, 64), (8, 7)):
+            a = rng.standard_normal(lead + (k,)).astype(dtype)
+            b = rng.standard_normal((k, n)).astype(dtype)
+            want = np.matmul(a.reshape(-1, k), b).reshape(lead + (n,))
+            assert_same_bits(matmul(Tensor(a), Tensor(b)).numpy(), want)
 
     def test_backward_matches_finite_differences(self):
         # central differences, h=1e-5, double precision
@@ -237,6 +261,34 @@ class TestKernelsMatchReference:
 
 
 class TestRmsnorm:
+    @DTYPES
+    @pytest.mark.parametrize("d", [1, 64, 256, 1000])
+    def test_bit_equal_to_the_np_mean_form(self, dtype, d):
+        # the mean square is a sum over the row divided by d; `.mean` gave these bits before
+        rng = np.random.default_rng(d)
+        x = (rng.standard_normal((3, 5, d)) * np.logspace(-3, 3, d)).astype(dtype)
+        gain = rng.standard_normal(d).astype(dtype)
+        mean_square = (x * x).mean(axis=-1, keepdims=True)
+        assert_same_bits(np.add.reduce(x * x, axis=-1, keepdims=True) / d, mean_square)
+        want = x * (1.0 / np.sqrt(mean_square + RMSNORM_EPS)) * gain
+        assert_same_bits(rmsnorm(Tensor(x), Tensor(gain)).numpy(), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_bit_equal_to_the_out_of_place_form(self, dtype):
+        # the backward writes into two buffers; this is the expression it replaced
+        rng = np.random.default_rng(35)
+        d = 64
+        x, g = (rng.standard_normal((8, 17, d)).astype(dtype) for _ in range(2))
+        gain = rng.standard_normal(d).astype(dtype)
+        with Tape() as tape:
+            xt, gt = tape.watch(Tensor(x)), tape.watch(Tensor(gain))
+            tape.backward((rmsnorm(xt, gt) * Tensor(g)).sum())
+        inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + RMSNORM_EPS)
+        du = g * gain
+        dot = (x * du).sum(axis=-1, keepdims=True)
+        assert_same_bits(tape.grad(xt), inv * du - (inv**3 / d) * x * dot)
+        assert_same_bits(tape.grad(gt), (g * (x * inv)).reshape(-1, d).sum(axis=0))
+
     def test_zeros_stay_zero(self):
         out = rmsnorm(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)))
         assert np.all(out.numpy() == 0.0)

@@ -3,6 +3,7 @@ import pytest
 
 import crosskv.verify
 from crosskv.costmodel import LatencyEstimate
+from crosskv.sharing import LayerCache
 from crosskv.tensor import record_op
 from crosskv.verify import SUITES, run_suite
 
@@ -54,3 +55,18 @@ def test_fd_checks_name_their_dtype(monkeypatch):
         assert crosskv.verify._fd_oracle().endswith(f"eps {np.finfo(np.longdouble).eps:.1e})")
     monkeypatch.setattr(crosskv.verify, "FD_DTYPE", np.dtype(np.float64))  # as on a host without extended precision
     assert crosskv.verify._fd_oracle() == "FD in longdouble (float64, eps 2.2e-16, no wider than float64: the float64 oracle)"
+
+
+def test_decode_reads_check_fails_on_an_extra_term(monkeypatch):
+    # a reconstruction layer that reads one source term twice reads more than Table 1 counts
+    real = crosskv.verify.folded_cache
+
+    def doubled(plan, weights, stored, i):
+        cache = real(plan, weights, stored, i)
+        return LayerCache(cache.key_terms * 2, cache.value_terms, cache.layer)
+
+    monkeypatch.setattr(crosskv.verify, "folded_cache", doubled)
+    monkeypatch.setattr(crosskv.verify, "grad_check", lambda f, params: 0.0)  # skip the slow FD oracle
+    result = next(r for r in run_suite("model") if r.name == "decode_reads_match_table1")
+    assert not result.passed
+    assert "Vanilla:16 vs 16" in result.detail and "YOCO:20 vs 16" in result.detail
