@@ -148,13 +148,15 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse the command line. A command with model flags reads its
-    --config file's lines as flags placed ahead of the command line's own,
-    so the same parser checks them and the command line's flags win."""
+    """Parse the command line and refuse a negative --seed. A command with
+    model flags reads its --config file's lines as flags placed ahead of the
+    command line's own, so the same parser checks them and the command line wins."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"argument --seed: expected a nonnegative integer, got {args.seed}")
     return args
 
 

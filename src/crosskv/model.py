@@ -6,26 +6,26 @@ caches from stored ones, so their only attention parameters are the query
 and output projections plus any fusion weights. Blocks are pre-norm RMS,
 projections are biasless, and the MLP is a gated silu unit.
 
-Every pass runs one layer body, `_block`: training and `forward_logits`
-over the whole sequence into a fresh cache dict, `decode` for each step
-and for its prefill, appending to the caches that only storage layers
-keep. The prefill embeds the prompt once, then runs it through the stack
-`PREFILL_CHUNK` rows at a time, so each chunk attends to the keys up to
-its own end and no [H, T, T] score tensor is built. Every layer hands
-the attention kernel a `LayerCache` of weighted terms. A storage layer's
-is its own rows (`LayerCache.stored`); a tape-free pass writes its first
-rows into a buffer of `max_seq_len` rows (`LayerCache.buffered`), and
-each later chunk or step writes only its own rows (`LayerCache.append`).
-A reconstruction layer's is its sources' stored tensors and fusion
-weights (`folded_cache`); the kernel folds them only where nothing
-records (a tape-free one-row step) and sums them otherwise, so
-`sharing.reconstruct` stays an oracle.
-Whether a tape records on the thread decides buffering and finiteness
-checks too: recording passes sum terms, keep tracked caches and check
-every op's result; tape-free ones fold, buffer, and check each block's
-output once, under one unchecked context per pass, re-running a block
-that fails with every op checked so the `EvaluationError` still names the
-op (`_checked_once`). The logits, the prefill chunks and the cache appends are checked either way.
+Every pass runs one layer body, `_block`, in one block loop, `_layers`:
+training and `forward_logits` over the whole sequence into a fresh cache
+dict, `decode` for each step and for its prefill, appending to the caches
+that only storage layers keep. The prefill embeds the prompt once, then
+runs it through the stack `PREFILL_CHUNK` rows at a time, so each chunk
+attends to the keys up to its own end and no [H, T, T] score tensor is
+built. Every layer hands the attention kernel a `LayerCache` of weighted
+terms. A storage layer's is its own rows (`LayerCache.stored`); a
+tape-free pass writes its first rows into a buffer of `max_seq_len` rows
+(`LayerCache.buffered`), and each later chunk or step writes only its own
+rows (`LayerCache.append`). A reconstruction layer's is its sources'
+stored tensors and fusion weights (`folded_cache`); the kernel folds them
+only where nothing records (a tape-free one-row step) and sums them
+otherwise, so `sharing.reconstruct` stays an oracle.
+Whether a tape records decides only what is recorded, buffering and
+folding. Every pass checks finiteness one way: its blocks run under one
+unchecked context, each block's output is checked once, and a block that
+fails runs again with every op checked, so the `EvaluationError` still
+names the op. The head's ops, the cache appends and the checks ops make
+of their own inputs still check each result.
 The queries handed to `attend(q, cache)` are the cache's last rows.
 """
 
@@ -53,7 +53,6 @@ from .tensor import (
     DimensionError,
     EvaluationError,
     Tensor,
-    _active_tape,
     _check_finite,
     _unchecked_ops,
     cross_entropy,
@@ -227,12 +226,6 @@ class DecoderModel:
         H, T, depth = t.shape[-3:]
         return _swap_head_axes(t, t.shape, t.shape[:-3] + (T, H * depth), "merge_heads")
 
-    def _layer_cache(self, i: int, xn: Tensor, positions: np.ndarray) -> LayerCache:
-        k = self._split_heads(matmul(xn, self.params[f"layer{i}.w_k"]), self.cfg.n_kv_heads)
-        k = apply_rope(k, positions, self.sched)
-        v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
-        return LayerCache.stored(k, v, i)
-
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage
         layer appends its new keys and values to caches[i] in place (a
@@ -246,8 +239,11 @@ class DecoderModel:
         if i in self.plan.rules:
             cache = folded_cache(self.plan, self.params, caches, i)
         else:
-            new, rows = self._layer_cache(i, xn, positions), self.cfg.max_seq_len
-            caches[i] = cache = caches[i].append(new, rows) if i in caches else new.buffered(rows)
+            k = self._split_heads(matmul(xn, self.params[f"layer{i}.w_k"]), self.cfg.n_kv_heads)
+            k = apply_rope(k, positions, self.sched)
+            v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
+            cap = self.cfg.max_seq_len
+            caches[i] = cache = caches[i].append(k, v, cap) if i in caches else LayerCache.stored(k, v, i).buffered(cap)
         o = attend(q, cache)
         x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
@@ -258,38 +254,30 @@ class DecoderModel:
         every layer's `_block` with the storage caches in `caches`."""
         return self._layers(embed(self.params["embed"], tokens), positions, caches)
 
-    def _checked_once(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
-        """Every `_block` in one unchecked context, each block's output checked
-        once (tape-free passes). On a non-finite output, or an error from a
+    def _layers(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+        """`_forward` after the embedding: logits for the rows of `x`, taped
+        or not. Every `_block` runs in one unchecked context, and each block's
+        output is checked once. On a non-finite output, or an error from a
         check the ops still make, caches[i] goes back to what it was and block
-        i runs again outside the context, checking every op, to name the op."""
+        i runs again outside the context, checking every op, to name the op.
+        The head runs outside the context, so every op of the logits checks."""
         with _unchecked_ops(), np.errstate(all="ignore"):
             for i in range(1, self.cfg.n_layers + 1):
-                before = caches.get(i)
+                before, inputs = caches.get(i), x
                 try:
-                    out = self._block(i, x, positions, caches)
-                    _check_finite(out.data, "block output")
+                    x = self._block(i, x, positions, caches)
+                    _check_finite(x.data, "block output")
                 except EvaluationError:
                     break
-                x = out
             else:
-                return x
-        if before is None:
-            caches.pop(i, None)
-        else:
-            caches[i] = before
-        self._block(i, x, positions, caches)
-        raise EvaluationError(f"layer {i}: block output contains non-finite entries")
-
-    def _layers(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
-        """`_forward` after the embedding: logits for the rows of `x`. A
-        taped pass checks every op's result finite; a tape-free one checks
-        each block's output once (`_checked_once`)."""
-        if _active_tape() is not None:
-            for i in range(1, self.cfg.n_layers + 1):
-                x = self._block(i, x, positions, caches)
-        else:
-            x = self._checked_once(x, positions, caches)
+                i = 0  # every block's output is finite
+        if i:
+            if before is None:
+                caches.pop(i, None)
+            else:
+                caches[i] = before
+            self._block(i, inputs, positions, caches)
+            raise EvaluationError(f"layer {i}: block output contains non-finite entries")
         h = rmsnorm(x, self.params["final_norm"])
         return matmul(h, self.params["unembed"])
 

@@ -236,16 +236,17 @@ def plan_for_strategy(strategy: str, n_layers: int, middle: int | None = None) -
 
 class _CacheBuffer:
     """Writable K and V storage of one layer at a fixed row capacity, each
-    in the dtype of the cache it holds, and how many rows are written. Rows
-    below `rows` never change again."""
+    in the dtype of the cache it holds, written first with the rows it is
+    made from. Rows below `rows`, the count written, never change again."""
 
     __slots__ = ("keys", "values", "rows")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, capacity: int):
+    def __init__(self, keys: np.ndarray, values: np.ndarray, capacity: int, layer: int):
         shape = keys.shape[:-2] + (capacity, keys.shape[-1])
         self.keys = np.empty(shape, dtype=keys.dtype)
         self.values = np.empty(shape, dtype=values.dtype)
         self.rows = 0
+        self.write(keys, values, layer)
 
     def write(self, keys: np.ndarray, values: np.ndarray, layer: int) -> None:
         n, m, capacity = self.rows, keys.shape[-2], self.keys.shape[-2]
@@ -309,30 +310,29 @@ class LayerCache:
         tape records on this thread, the cache is returned as it is."""
         if _active_tape() is not None:
             return self
-        buf = _CacheBuffer(self.keys.data, self.values.data, capacity)
-        buf.write(self.keys.data, self.values.data, self.layer)
-        return buf.cache(self.layer)
+        return _CacheBuffer(self.keys.data, self.values.data, capacity, self.layer).cache(self.layer)
 
-    def append(self, new: "LayerCache", capacity: int) -> "LayerCache":
-        """This cache's rows followed by `new`'s, in a buffer of `capacity` rows.
+    def append(self, keys: Tensor, values: Tensor, capacity: int) -> "LayerCache":
+        """This cache's rows followed by the rows of `keys` and `values`, in a buffer of `capacity` rows.
 
         An append to the buffer's newest cache writes only the new rows; any
         other cache is first copied into a fresh buffer, so a newer cache's
         rows stay as they are. Rows are checked finite and within capacity
         as they are written. Tape-free: the result records no gradient.
         """
-        keys, values = self.key_terms[0][0].data, self.value_terms[0][0].data
-        new_keys, new_values = new.key_terms[0][0].data, new.value_terms[0][0].data
-        shape, new_shape, layer = keys.shape, new_keys.shape, self.layer
+        old_keys, old_values = self.key_terms[0][0].data, self.value_terms[0][0].data
+        new_keys, new_values = keys.data, values.data
+        shape, new_shape, layer = old_keys.shape, new_keys.shape, self.layer
+        if new_values.shape != new_shape:
+            raise DimensionError(f"layer {layer}: key shape {new_shape} != value shape {new_values.shape}")
         if new_shape[:-2] != shape[:-2] or new_shape[-1] != shape[-1]:
             raise DimensionError(f"layer {layer}: cannot append {new_shape} to {shape}")
-        for side, rows, cache in (("key", new_keys, keys), ("value", new_values, values)):
+        for side, rows, cache in (("key", new_keys, old_keys), ("value", new_values, old_values)):
             if rows.dtype != cache.dtype:
                 raise TypeError(f"layer {layer}: cannot append {rows.dtype} {side} rows to a {cache.dtype} cache")
         n, m, buf = shape[-2], new_shape[-2], self._buffer
         if buf is None or buf.rows != n or buf.keys.shape[-2] < n + m:
-            buf = _CacheBuffer(keys, values, capacity)
-            buf.write(keys, values, layer)
+            buf = _CacheBuffer(old_keys, old_values, capacity, layer)
         buf.write(new_keys, new_values, layer)
         return buf.cache(layer)
 

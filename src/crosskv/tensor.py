@@ -23,12 +23,12 @@ Conventions:
     longdouble serves `grad_check`'s finite differences),
   - non-finite values raise `EvaluationError` naming the op that made
     them. Each op checks its result, except inside `_unchecked_ops`:
-    there the caller checks what the block gives back once (each tape-free
-    decoder layer, `model.DecoderModel._checked_once`), and on a
-    non-finite value re-runs it with each op checking. The ops that could
-    turn a non-finite input into a finite output check that input on
-    their own: `rmsnorm`'s mean square, the attention scores before their
-    exp, and a cache append.
+    there the caller checks what the block gives back once (each decoder
+    layer of every model pass, taped or not: `model.DecoderModel._layers`)
+    and on a non-finite value re-runs it with each op checking. The ops
+    that could turn a non-finite input into a finite output check that
+    input on their own: `rmsnorm`'s mean square, the attention scores
+    before their exp, and a cache append.
 """
 
 from __future__ import annotations

@@ -540,10 +540,10 @@ def _model_checks() -> list[CheckResult]:
     dev32 = float(np.abs(full32[: len(res32.logits)] - res32.logits).max())
     out.append(_result("model", "single_precision_decode_within_1e-4", dev32 < 1e-4, f"max dev {dev32:.2e}"))
 
-    # One tape-free decode step reads what Table 1 counts (L = 8, d = 64, H_q = 8, context
-    # s = 41 after a 40-token prompt): the key and value term elements of the cache each layer
-    # hands the kernel. CLA and DenseFusion read their closed forms, 2L and L + L²/2 units of s·H_kv·D.
-    L, n, reads_ok, reads = 8, 40, True, []
+    # One tape-free decode step reads, and the caches then store, what Table 1 counts (L = 8,
+    # d = 64, H_q = 8, context s = 41 after a 40-token prompt); reads are the key and value term
+    # elements each layer hands the kernel. CLA and DenseFusion: 2L and L + L²/2 units read, L stored.
+    L, n, reads_ok, reads, stores_ok, stores = 8, 40, True, [], True, []
     for strategy, n_kv, closed in (("Vanilla", 8, 0), ("GQA", 2, 0), ("YOCO", 8, 0), ("FusedKV-Lite", 8, 0),
                                    ("FusedKV", 8, 0), ("CLA", 8, 2 * L), ("DenseFusion", 8, L + L * L // 2)):
         m = build_model(ModelConfig(n_layers=L, d_model=64, n_query_heads=8, n_kv_heads=n_kv, strategy=strategy), seed=0)
@@ -556,7 +556,12 @@ def _model_checks() -> list[CheckResult]:
         want = closed * unit if closed else int(table1_costs(strategy, spec).cache_io_elements)
         reads_ok &= got == want
         reads.append(f"{strategy}:{got / unit:g}{' (closed form)' if closed else ''} vs {want / unit:g}")
+        got = sum(c.keys.size + c.values.size for c in caches.values())
+        want = L * unit if closed else int(table1_costs(strategy, spec).cache_mem_elements)
+        stores_ok &= got == want
+        stores.append(f"{strategy}:{got / unit:g}{' (closed form)' if closed else ''} vs {want / unit:g}")
     out.append(_result("model", "decode_reads_match_table1", reads_ok, "units of s·H_kv·D: " + ", ".join(reads)))
+    out.append(_result("model", "decode_stores_match_table1", stores_ok, "units of s·H_kv·D: " + ", ".join(stores)))
 
     # Bottom-layer caches feed multiple layers when fused. Distinct gradient
     # paths into layer 1 = its own attention plus one per extra consumer of

@@ -417,6 +417,9 @@ class TestManifestConfig:
         assert self._config(tmp_path) == json.dumps(expected, sort_keys=True)
 
 
+NEGATIVE_SEED = "argument --seed: expected a nonnegative integer, got -1"
+
+
 class TestNamedErrors:
     """Bad flag values exit 1 with a configuration error naming the flag."""
 
@@ -434,10 +437,16 @@ class TestNamedErrors:
             (["decode-bench", "--new-tokens", "-1"], "--new-tokens"),
             (["decode-bench", "--strategies", "mha,Vanilla"], "--strategies names Vanilla twice"),
             (["train", "--seed", "1", "--steps", "abc"], "--steps"),
+            # numpy's generators refuse a negative seed; compare would have written its manifest first
+            (["train", "--seed", "-1", "--steps", "1"], NEGATIVE_SEED),
+            (["heatmap", "--seed", "-1"], NEGATIVE_SEED),
+            (["decode-bench", "--seed", "-1"], NEGATIVE_SEED),
+            (["compare", "--strategies", "mha,yoco", "--seed", "-1", "--steps", "1"], NEGATIVE_SEED),
         ],
         ids=["cost-S-not-int", "cost-S-zero", "train-steps", "train-eval-interval", "compare-batch-size",
              "compare-repeated-strategy", "decode-prompt-len", "decode-no-strategies", "decode-new-tokens",
-             "decode-repeated-strategy", "train-steps-not-int"],
+             "decode-repeated-strategy", "train-steps-not-int", "train-negative-seed", "heatmap-negative-seed",
+             "decode-negative-seed", "compare-negative-seed"],
     )
     def test_exits_one_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"

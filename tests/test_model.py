@@ -449,7 +449,8 @@ class TestTable1Reads:
 
 
 class TestFiniteChecks:
-    """Tape-free passes check each block's output once; taped passes check every op."""
+    """Every pass, taped or not, checks each block's output once and re-runs a
+    failing block with every op checked; the head checks every op."""
 
     @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV"])
     @pytest.mark.parametrize("name", ["layer3.w_in", "layer1.w_v"])
@@ -485,16 +486,31 @@ class TestFiniteChecks:
         got = m._forward(np.array([[5]]), np.array([9]), before).numpy()
         assert np.array_equal(got, want)
 
-    def test_taped_pass_raises_at_the_op(self, monkeypatch):
+    def test_taped_failed_block_leaves_the_caches_as_before_it(self):
+        # under a tape the overflowing w_v's cache is kept unbuffered, so its
+        # non-finite rows reach caches[3] until the failing block's entry is undone
+        m = build_model(small_cfg(), seed=31)
+        tokens, want = np.arange(9)[None] % 16, {}
+        m._forward(tokens, np.arange(9), want)
+        overflowing(m, "layer3.w_v")
+        caches: dict = {}
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError, match="^matmul:"):
+                m._forward(tokens, np.arange(9), caches)
+        assert sorted(caches) == [1, 2]
+        for i, cache in caches.items():
+            assert np.array_equal(cache.keys.numpy(), want[i].keys.numpy())
+            assert np.array_equal(cache.values.numpy(), want[i].values.numpy())
+
+    def test_taped_pass_raises_at_the_op(self):
         m = overflowing(build_model(small_cfg("FusedKV"), seed=32))
-        once = []
-        monkeypatch.setattr(m, "_checked_once", lambda *a: once.append(a))
         with Tape() as tape:
             for _, p in m.parameters():
                 tape.watch(p)
             with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="^matmul:"):
                 m.forward_loss(np.arange(6)[None] % 16)
-        assert once == []
 
     def test_rerun_that_passes_names_the_layer(self, monkeypatch):
         m = build_model(small_cfg(), seed=33)
@@ -510,7 +526,7 @@ class TestFiniteChecks:
         with pytest.raises(EvaluationError, match="^layer 2: block output"):
             m.decode(np.arange(4), 1)
 
-    def test_checks_per_op_only_under_a_tape(self, monkeypatch):
+    def test_taped_and_tape_free_passes_check_each_block_once(self, monkeypatch):
         checks, unchecked = [], []
         check, wrap = crosskv.tensor._check_finite, Tensor._wrap.__func__
 
@@ -533,13 +549,14 @@ class TestFiniteChecks:
         m._forward(np.arange(10)[None], np.arange(10), caches)
         checks.clear()
         m._forward(np.array([[3]]), np.array([10]), caches)
-        assert len(checks) <= 50 and unchecked  # parent: 188 checks, one per op
+        assert len(checks) <= 50 and unchecked  # 188 checks when each op checked its result
+        checks.clear()
         unchecked.clear()
         with Tape() as tape:
             for _, p in m.parameters():
                 tape.watch(p)
             m.forward_loss(np.arange(10)[None])
-        assert unchecked == []
+        assert len(checks) <= 50 and unchecked  # 173 checks when a taped pass checked each op
 
 
 class TestHeatmap:

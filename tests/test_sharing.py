@@ -336,55 +336,60 @@ class TestLayerCache:
                     np.testing.assert_array_equal(weight.numpy(), fusion_weight(weights, rule, side, 5, j).numpy())
 
 
-def rows_cache(start, count, layer=1, shape=(2, 3), dtype=np.float64):
-    """A cache whose row r holds the value r (keys) and -r (values)."""
+def rows(start, count, shape=(2, 3), dtype=np.float64):
+    """Keys and values whose row r holds the value r (keys) and -r (values)."""
     heads, depth = shape
     grid = np.broadcast_to(np.arange(start, start + count, dtype=dtype)[None, :, None], (heads, count, depth))
-    return LayerCache.stored(Tensor(grid, dtype=dtype), Tensor(-grid, dtype=dtype), layer)
+    return Tensor(grid, dtype=dtype), Tensor(-grid, dtype=dtype)
+
+
+def rows_cache(start, count, layer=1, shape=(2, 3), dtype=np.float64):
+    """A storage layer's cache of those rows."""
+    return LayerCache.stored(*rows(start, count, shape, dtype), layer)
 
 
 class TestLayerCacheAppend:
     def test_rows_follow_in_order(self):
-        c = rows_cache(0, 3).append(rows_cache(3, 2), capacity=8).append(rows_cache(5, 1), capacity=8)
+        c = rows_cache(0, 3).append(*rows(3, 2), capacity=8).append(*rows(5, 1), capacity=8)
         assert c.length == 6
         np.testing.assert_array_equal(c.keys.numpy()[0, :, 0], np.arange(6))
         np.testing.assert_array_equal(c.values.numpy()[1, :, 2], -np.arange(6))
 
     def test_later_appends_share_one_buffer(self):
-        first = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
-        second = first.append(rows_cache(4, 1), capacity=8)
+        first = rows_cache(0, 3).append(*rows(3, 1), capacity=8)
+        second = first.append(*rows(4, 1), capacity=8)
         assert np.may_share_memory(first.keys.numpy(), second.keys.numpy())
         assert np.may_share_memory(first.values.numpy(), second.values.numpy())
 
     def test_earlier_caches_keep_their_values(self):
         start = rows_cache(0, 3)
-        c1 = start.append(rows_cache(3, 1), capacity=8)
+        c1 = start.append(*rows(3, 1), capacity=8)
         seen = c1.keys.numpy().copy()
-        c2 = c1.append(rows_cache(4, 2), capacity=8)
-        c2.append(rows_cache(6, 2), capacity=8)
+        c2 = c1.append(*rows(4, 2), capacity=8)
+        c2.append(*rows(6, 2), capacity=8)
         np.testing.assert_array_equal(c1.keys.numpy(), seen)
         assert start.length == 3 and c1.length == 4
 
     def test_append_to_older_cache_leaves_newer_untouched(self):
-        c1 = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
-        c2 = c1.append(rows_cache(4, 1), capacity=8)
+        c1 = rows_cache(0, 3).append(*rows(3, 1), capacity=8)
+        c2 = c1.append(*rows(4, 1), capacity=8)
         newer = c2.keys.numpy().copy()
-        branch = c1.append(rows_cache(40, 1), capacity=8)
+        branch = c1.append(*rows(40, 1), capacity=8)
         np.testing.assert_array_equal(c2.keys.numpy(), newer)
         assert branch.keys.numpy()[0, 4, 0] == 40
         assert not np.may_share_memory(branch.keys.numpy(), c2.keys.numpy())
 
     def test_append_past_capacity_rejected(self):
-        full = rows_cache(0, 3, layer=5).append(rows_cache(3, 2), capacity=5)
+        full = rows_cache(0, 3, layer=5).append(*rows(3, 2), capacity=5)
         assert full.length == 5
         with pytest.raises(ValueError, match="layer 5"):
-            full.append(rows_cache(5, 1), capacity=5)
+            full.append(*rows(5, 1), capacity=5)
         with pytest.raises(ValueError, match="layer 5"):
-            rows_cache(0, 3, layer=5).append(rows_cache(3, 3), capacity=5)
+            rows_cache(0, 3, layer=5).append(*rows(3, 3), capacity=5)
 
     def test_buffered_cache_appends_in_place(self):
         start = rows_cache(0, 3).buffered(capacity=8)
-        grown = start.append(rows_cache(3, 2), capacity=8)
+        grown = start.append(*rows(3, 2), capacity=8)
         np.testing.assert_array_equal(grown.keys.numpy()[0, :, 0], np.arange(5))
         assert np.may_share_memory(start.keys.numpy(), grown.keys.numpy())
         with pytest.raises(ValueError, match="layer 1: 0 \\+ 3 cache rows exceed capacity 2"):
@@ -409,30 +414,32 @@ class TestLayerCacheAppend:
         np.testing.assert_array_equal(other[0].keys.numpy(), cache.keys.numpy())
 
     def test_larger_capacity_moves_to_a_fresh_buffer(self):
-        full = rows_cache(0, 3).append(rows_cache(3, 2), capacity=5)
-        grown = full.append(rows_cache(5, 1), capacity=8)
+        full = rows_cache(0, 3).append(*rows(3, 2), capacity=5)
+        grown = full.append(*rows(5, 1), capacity=8)
         np.testing.assert_array_equal(grown.keys.numpy()[0, :, 0], np.arange(6))
         assert not np.may_share_memory(grown.keys.numpy(), full.keys.numpy())
 
     def test_views_are_read_only(self):
-        c = rows_cache(0, 3).append(rows_cache(3, 1), capacity=8)
+        c = rows_cache(0, 3).append(*rows(3, 1), capacity=8)
         for arr in (c.keys.numpy(), c.values.numpy()):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
 
     def test_non_finite_row_rejected(self):
-        bad = rows_cache(3, 1)
-        bad.values.numpy().setflags(write=True)  # corrupt the rows behind the Tensor check
-        bad.values.numpy()[0, 0, 1] = np.nan
+        keys, bad = rows(3, 1)
+        bad.numpy().setflags(write=True)  # corrupt the rows behind the Tensor check
+        bad.numpy()[0, 0, 1] = np.nan
         with pytest.raises(EvaluationError, match="layer 1"):
-            rows_cache(0, 3).append(bad, capacity=8)
+            rows_cache(0, 3).append(keys, bad, capacity=8)
 
     def test_mismatched_rows_rejected(self):
         with pytest.raises(DimensionError, match="layer 1"):
-            rows_cache(0, 3).append(rows_cache(3, 1, shape=(2, 4)), capacity=8)
+            rows_cache(0, 3).append(*rows(3, 1, shape=(2, 4)), capacity=8)
+        with pytest.raises(DimensionError, match="layer 1: key shape \\(2, 1, 3\\) != value shape \\(2, 2, 3\\)"):
+            rows_cache(0, 3).append(rows(3, 1)[0], rows(3, 2)[1], capacity=8)
         with pytest.raises(TypeError, match="layer 1"):
-            rows_cache(0, 3).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
+            rows_cache(0, 3).append(*rows(3, 1, dtype=np.float32), capacity=8)
 
     def test_values_keep_their_own_dtype(self):
         # a wider value dtype (grad_check's longdouble) is not rounded to the keys' dtype
@@ -441,14 +448,14 @@ class TestLayerCacheAppend:
         c = LayerCache.stored(keys, values, 1).buffered(capacity=8)
         assert c.keys.dtype == np.float64 and c.values.dtype == np.longdouble
         assert np.all(c.values.numpy() == values.numpy())
-        grown = c.append(LayerCache.stored(rows_cache(3, 1).keys, Tensor(values.numpy()[:, :1]), 1), capacity=8)
+        grown = c.append(rows(3, 1)[0], Tensor(values.numpy()[:, :1]), capacity=8)
         assert grown.values.dtype == np.longdouble and grown.length == 4
 
     def test_value_dtype_change_rejected(self):
-        new = rows_cache(3, 1)
+        keys, values = rows(3, 1)
         with pytest.raises(TypeError, match="layer 1: cannot append float32 value rows"):
-            rows_cache(0, 3).append(LayerCache.stored(new.keys, Tensor(new.values.numpy(), dtype=np.float32), 1), capacity=8)
+            rows_cache(0, 3).append(keys, Tensor(values.numpy(), dtype=np.float32), capacity=8)
 
     def test_float32_stays_float32(self):
-        c = rows_cache(0, 3, dtype=np.float32).append(rows_cache(3, 1, dtype=np.float32), capacity=8)
+        c = rows_cache(0, 3, dtype=np.float32).append(*rows(3, 1, dtype=np.float32), capacity=8)
         assert c.keys.dtype == np.float32 and c.values.dtype == np.float32

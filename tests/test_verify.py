@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crosskv.model
 import crosskv.verify
 from crosskv.costmodel import LatencyEstimate
 from crosskv.sharing import LayerCache
@@ -70,3 +71,21 @@ def test_decode_reads_check_fails_on_an_extra_term(monkeypatch):
     result = next(r for r in run_suite("model") if r.name == "decode_reads_match_table1")
     assert not result.passed
     assert "Vanilla:16 vs 16" in result.detail and "YOCO:20 vs 16" in result.detail
+
+
+def test_decode_stores_check_fails_on_an_extra_cache(monkeypatch):
+    # a pass that keeps one cache more than its storage layers stores more than Table 1 counts
+    real = crosskv.model.DecoderModel._forward
+
+    def one_more(self, tokens, positions, caches):
+        logits = real(self, tokens, positions, caches)
+        caches[0] = caches[1]
+        return logits
+
+    monkeypatch.setattr(crosskv.model.DecoderModel, "_forward", one_more)
+    monkeypatch.setattr(crosskv.verify, "grad_check", lambda f, params: 0.0)  # skip the slow FD oracle
+    results = {r.name: r for r in run_suite("model")}
+    assert results["decode_reads_match_table1"].passed
+    result = results["decode_stores_match_table1"]
+    assert not result.passed
+    assert "Vanilla:18 vs 16" in result.detail and "YOCO:10 vs 8" in result.detail
