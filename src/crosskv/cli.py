@@ -281,6 +281,7 @@ def _cmd_verify(args) -> int:
     names = []
     for item in args.suite or []:
         names.extend(s for s in item.split(",") if s)
+    names = list(dict.fromkeys(names))  # each suite runs once, in the order first named
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")

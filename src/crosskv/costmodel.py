@@ -15,8 +15,11 @@ methods, not absolute times, are the meaningful output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .sharing import canonical_strategy
 
@@ -64,20 +67,13 @@ class WorkloadSpec:
     decode_len: int | None = None
 
     def __post_init__(self):
-        for label, v in (
-            ("n_layers", self.n_layers),
-            ("prefill_len", self.prefill_len),
-            ("head_dim", self.head_dim),
-            ("n_query_heads", self.n_query_heads),
-            ("n_kv_heads", self.n_kv_heads),
-            ("bytes_per_element", self.bytes_per_element),
-        ):
-            if v <= 0:
-                raise ValueError(f"{label} must be positive, got {v}")
+        sizes = ("n_layers", "prefill_len", "head_dim", "n_query_heads", "n_kv_heads", "bytes_per_element")
+        for label in sizes + (("decode_len",) if self.decode_len is not None else ()):
+            v = getattr(self, label)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{label} must be a positive integer, got {v!r}")
         if self.n_query_heads < self.n_kv_heads:
             raise ValueError("query heads must be >= kv heads")
-        if self.decode_len is not None and self.decode_len <= 0:
-            raise ValueError("decode_len must be positive")
 
     @property
     def decode_context(self) -> int:
@@ -91,8 +87,10 @@ class DeviceProfile:
     bandwidth: float  # bytes/s
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.bandwidth <= 0:
-            raise ValueError("device rates must be positive")
+        for label in ("peak_flops", "bandwidth"):
+            v = getattr(self, label)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"device {label} must be finite and positive, got {v!r}")
 
 
 DEVICE_PRESETS = {
@@ -161,8 +159,8 @@ def roofline_latency(costs: CostBreakdown, dev: DeviceProfile, weight_bytes: flo
     """max(compute, memory) latency for prefill (TTFT) and one decode step
     (TPOT). Prefill memory traffic is the cache volume written plus one
     weight read; decode traffic is the per-step cache I/O plus weights."""
-    if weight_bytes < 0:
-        raise ValueError("weight_bytes must be nonnegative")
+    if not (math.isfinite(weight_bytes) and weight_bytes >= 0):
+        raise ValueError(f"weight_bytes must be finite and nonnegative, got {weight_bytes!r}")
     bpe = costs.bytes_per_element
     ttft_compute = costs.prefill_flops / dev.peak_flops
     ttft_memory = (costs.cache_mem_elements * bpe + weight_bytes) / dev.bandwidth

@@ -1,10 +1,11 @@
 """Desk-scale decoder stack wired through a cache-sharing plan.
 
 Storage layers own query/key/value/output projections; reconstruction
-layers drop the key and value projections entirely and rebuild their
-caches from stored ones, so their only attention parameters are the query
-and output projections plus any fusion weights. Blocks are pre-norm RMS,
-projections are biasless, and the MLP is a gated silu unit.
+layers drop the key and value projections and rebuild their caches from
+stored ones, so their only attention parameters are the query and output
+projections plus any fusion weights. Blocks are pre-norm RMS, projections
+are biasless, and the MLP is a gated silu unit. Each attention projection
+is one `matmul` op, its head split or merge folded into the GEMM.
 
 Every pass runs one layer body, `_block`, in one block loop, `_layers`:
 training and `forward_logits` over the whole sequence into a fresh cache
@@ -141,17 +142,29 @@ class DecodeResult:
     cache_length: int
 
 
-def _swap_head_axes(t: Tensor, grouped: tuple, out_shape: tuple, op: str) -> Tensor:
-    """`t` read as `grouped` [..., A, B, D], axes A and B swapped, then
-    reshaped to `out_shape`; one tape op. Splitting heads reads
-    [..., T, H*D] as [..., T, H, D]; merging reads [..., H, T, D] as is."""
-    swapped = np.ascontiguousarray(t.data.reshape(grouped).swapaxes(-2, -3))
-    in_shape, mid_shape = t.data.shape, swapped.shape
+def _project_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
+    """x [..., T, K] · w [K, H*D], written head-major as [..., H, T, D]; one `matmul` op."""
+    x_shape, w_data, rows = x.data.shape, w.data, x.data.reshape(-1, w.data.shape[0])
+    out = np.ascontiguousarray(rows.dot(w_data).reshape(x_shape[:-1] + (n_heads, -1)).swapaxes(-2, -3))
 
     def backward(g):
-        return (np.ascontiguousarray(g.reshape(mid_shape).swapaxes(-2, -3)).reshape(in_shape),)
+        g_rows = np.ascontiguousarray(g.swapaxes(-2, -3)).reshape(rows.shape[0], -1)  # read token-major
+        return np.matmul(g_rows, w_data.T).reshape(x_shape), np.matmul(rows.T, g_rows)
 
-    return record_op(op, swapped.reshape(out_shape), (t,), backward)
+    return record_op("matmul", out, (x, w), backward)
+
+
+def _merge_project(o: Tensor, w: Tensor) -> Tensor:
+    """o [..., H, T, D] read token-major as the rows of one GEMM with w [H*D, N]; one `matmul` op."""
+    w_data, token_major = w.data, np.ascontiguousarray(o.data.swapaxes(-2, -3))  # [..., T, H, D]
+    rows, mid_shape = token_major.reshape(-1, w_data.shape[0]), token_major.shape
+
+    def backward(g):
+        g_rows = g.reshape(rows.shape[0], -1)
+        do = np.matmul(g_rows, w_data.T).reshape(mid_shape).swapaxes(-2, -3)  # written back head-major
+        return np.ascontiguousarray(do), np.matmul(rows.T, g_rows)
+
+    return record_op("matmul", rows.dot(w_data).reshape(mid_shape[:-2] + (-1,)), (o, w), backward)
 
 
 class DecoderModel:
@@ -215,17 +228,6 @@ class DecoderModel:
             raise ValueError(f"token id out of range [0, {self.cfg.vocab_size})")
         return arr
 
-    def _split_heads(self, t: Tensor, n_heads: int) -> Tensor:
-        # [..., T, H*D] -> [..., H, T, D]
-        shape, depth = t.data.shape, self.sched.head_dim
-        lead, T = shape[:-2], shape[-2]
-        return _swap_head_axes(t, lead + (T, n_heads, depth), lead + (n_heads, T, depth), "split_heads")
-
-    def _merge_heads(self, t: Tensor) -> Tensor:
-        # [..., H, T, D] -> [..., T, H*D]
-        H, T, depth = t.shape[-3:]
-        return _swap_head_axes(t, t.shape, t.shape[:-3] + (T, H * depth), "merge_heads")
-
     def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
         """Decoder layer i over the rows of `x` at `positions`. A storage
         layer appends its new keys and values to caches[i] in place (a
@@ -234,18 +236,18 @@ class DecoderModel:
         empty dict. A reconstruction layer hands `attend` the stored caches
         as weighted terms, folded for one tape-free row and summed else."""
         xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
-        q = self._split_heads(matmul(xn, self.params[f"layer{i}.w_q"]), self.cfg.n_query_heads)
+        q = _project_heads(xn, self.params[f"layer{i}.w_q"], self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
             cache = folded_cache(self.plan, self.params, caches, i)
         else:
-            k = self._split_heads(matmul(xn, self.params[f"layer{i}.w_k"]), self.cfg.n_kv_heads)
+            k = _project_heads(xn, self.params[f"layer{i}.w_k"], self.cfg.n_kv_heads)
             k = apply_rope(k, positions, self.sched)
-            v = self._split_heads(matmul(xn, self.params[f"layer{i}.w_v"]), self.cfg.n_kv_heads)
+            v = _project_heads(xn, self.params[f"layer{i}.w_v"], self.cfg.n_kv_heads)
             cap = self.cfg.max_seq_len
             caches[i] = cache = caches[i].append(k, v, cap) if i in caches else LayerCache.stored(k, v, i).buffered(cap)
         o = attend(q, cache)
-        x = x + matmul(self._merge_heads(o), self.params[f"layer{i}.w_o"])
+        x = x + _merge_project(o, self.params[f"layer{i}.w_o"])
         xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
         return x + matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])
 

@@ -22,7 +22,7 @@ from .attention import attend
 from .costmodel import (
     DEVICE_PRESETS, DeviceProfile, WorkloadSpec, fusion_decode_overhead_fraction, roofline_latency, table1_costs,
 )
-from .model import ModelConfig, build_model
+from .model import ModelConfig, _merge_project, _project_heads, build_model
 from .rope import RopeSchedule, apply_rope, expand_pairs, fused_key_score, score_decomposed, score_direct
 from .sharing import (
     STRATEGY_NAMES,
@@ -129,6 +129,12 @@ def _numerics_checks() -> list[CheckResult]:
     act, w2 = Tensor(mrng.standard_normal((2, 3, 5))), Tensor(mrng.standard_normal((5, 4)))
     mprobe = mrng.standard_normal((2, 3, 4))
     cases.append(("matmul_rows", lambda: (matmul(act, w2) * mprobe).sum(), [act, w2]))
+    # The attention projections: x · W written head-major (2 heads of 3), and
+    # [B, H, T, D] read token-major times W_o.
+    hx, hw, ho, hwo = (Tensor(mrng.standard_normal(s)) for s in ((2, 3, 5), (5, 6), (2, 2, 3, 3), (6, 4)))
+    hprobe = mrng.standard_normal((2, 2, 3, 3))
+    cases.append(("project_heads", lambda: (_project_heads(hx, hw, 2) * hprobe).sum(), [hx, hw]))
+    cases.append(("merge_project", lambda: (_merge_project(ho, hwo) * mprobe).sum(), [ho, hwo]))
     sc = Tensor(rng.standard_normal((6, 6)))
     weight = Tensor(rng.standard_normal((6, 6)))
     cases.append(("softmax_causal", lambda: (masked_softmax(sc, _causal(6), 0.7) * weight).sum(), [sc]))

@@ -52,6 +52,23 @@ class TestVerifyCommand:
         assert all(row["passed"] == "True" for row in rows)
         assert [r["name"] for r in json.loads((tmp_path / "verify.json").read_text())] == [r["name"] for r in rows]
 
+    def test_repeated_suite_runs_once(self, tmp_path, capsys, monkeypatch):
+        real, asked = crosskv.cli.run_suites, []
+
+        def spy(names):
+            asked.append(names)
+            return real(names)
+
+        monkeypatch.setattr(crosskv.cli, "run_suites", spy)
+        args = ["verify", "--seed", "1", "--suite", "costmodel", "--suite", "rope,costmodel,rope",
+                "--output-dir", str(tmp_path)]
+        assert run(args) == EXIT_OK
+        assert asked == [["costmodel", "rope"]]
+        assert "verify: 9 invariants passed" in capsys.readouterr().out
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"] == {"suites": ["costmodel", "rope"]}
+        rows = list(csv.DictReader((tmp_path / "verify.csv").read_text().splitlines()))
+        assert [r["suite"] for r in rows] == ["costmodel"] * 3 + ["rope"] * 6
+
     def test_violation_exits_three_naming_it_and_still_writes(self, tmp_path, monkeypatch, capsys):
         real = crosskv.cli.run_suites
 
@@ -217,6 +234,22 @@ class TestCostCommand:
         args = ["cost", "--device-file", str(dev), "--output-dir", str(tmp_path / "out")]
         assert run(args) == EXIT_CONFIG
         assert f"{dev}:3: expected key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_weight_bytes_writes_nothing(self, tmp_path, value, capsys):
+        args = ["cost", "--S", "1024", f"--weight-bytes={value}", "--output-dir", str(tmp_path / "out")]
+        assert run(args) == EXIT_CONFIG
+        assert "weight_bytes must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "costs.csv").exists()
+
+    @pytest.mark.parametrize("line", ["peak_flops = nan", "peak_flops = inf", "bandwidth = nan", "bandwidth = 0"])
+    def test_device_file_with_a_bad_rate_writes_nothing(self, tmp_path, line, capsys):
+        dev = tmp_path / "dev.profile"
+        dev.write_text(f"label = mybox\npeak_flops = 1e14\nbandwidth = 1e12\n{line}\n")
+        args = ["cost", "--S", "1024", "--device-file", str(dev), "--output-dir", str(tmp_path / "out")]
+        assert run(args) == EXIT_CONFIG
+        assert f"device {line.split()[0]} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "costs.csv").exists()
 
     def test_unknown_device_preset(self, tmp_path):
         assert run(["cost", "--device", "warp-core", "--output-dir", str(tmp_path)]) == EXIT_CONFIG

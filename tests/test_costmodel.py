@@ -90,6 +90,41 @@ class TestRoofline:
             DeviceProfile("bad", 0.0, 1.0)
 
 
+    @pytest.mark.parametrize("rates", [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0), (1.0, -1.0)])
+    def test_non_finite_or_nonpositive_device_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            DeviceProfile("bad", *rates)
+
+    @pytest.mark.parametrize("weight_bytes", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_weight_bytes_rejected(self, weight_bytes):
+        costs = table1_costs("MHA", WorkloadSpec(2, 16, 8, 2, 2))
+        with pytest.raises(ValueError, match="weight_bytes must be finite and nonnegative"):
+            roofline_latency(costs, DEVICE_PRESETS["hbm-accelerator"], weight_bytes)
+
+    def test_zero_weight_bytes_accepted(self):
+        costs = table1_costs("MHA", WorkloadSpec(2, 16, 8, 2, 2))
+        assert roofline_latency(costs, DEVICE_PRESETS["hbm-accelerator"], 0).tpot_s > 0
+
+
+class TestWorkloadSpec:
+    @pytest.mark.parametrize("index", range(6))
+    @pytest.mark.parametrize("value", [0, -3, float("nan"), 8.0, 2.5, "8", None])
+    def test_sizes_are_integers_of_at_least_one(self, index, value):
+        sizes = [8, 1024, 64, 16, 8, 2]
+        sizes[index] = value
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            WorkloadSpec(*sizes)
+
+    @pytest.mark.parametrize("value", [0, float("nan"), 3.0])
+    def test_decode_len_is_an_integer_of_at_least_one(self, value):
+        with pytest.raises(ValueError, match="decode_len must be a positive integer"):
+            WorkloadSpec(8, 1024, 64, 16, 8, decode_len=value)
+
+    def test_numpy_integers_accepted(self):
+        spec = WorkloadSpec(*(np.int64(v) for v in (8, 1024, 64, 16, 8)), decode_len=np.int32(9))
+        assert table1_costs("MHA", spec) == table1_costs("MHA", WorkloadSpec(8, 1024, 64, 16, 8, decode_len=9))
+
+
 class TestSweep:
     def test_vanilla_normalization_identically_one(self):
         rows = sweep(["MHA"], [W], [DEVICE_PRESETS["hbm-accelerator"]])

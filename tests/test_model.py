@@ -7,13 +7,14 @@ import pytest
 
 import crosskv.attention
 import crosskv.model
+import crosskv.rope
 import crosskv.sharing
 import crosskv.tensor
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.costmodel import WorkloadSpec, table1_costs
-from crosskv.model import ModelConfig, build_model, fusion_weight_rows
+from crosskv.model import ModelConfig, _merge_project, _project_heads, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
-from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape, grad_check
+from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape, grad_check, mul, tsum
 from crosskv.verify import _expected_parameter_count, toy_config
 
 
@@ -557,6 +558,122 @@ class TestFiniteChecks:
                 tape.watch(p)
             m.forward_loss(np.arange(10)[None])
         assert len(checks) <= 50 and unchecked  # 173 checks when a taped pass checked each op
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+class TestProjectionOps:
+    """The attention projections are one `matmul` op each, with the head split
+    or merge folded in: forward and both gradients equal a numpy matmul over
+    the folded rows plus an axis swap, bit for bit."""
+
+    T, D = 3, 4
+
+    def taped(self, op, inputs, probe):
+        """op(*inputs) and the gradients of sum(op(*inputs) * probe); the
+        output gradient is `probe` itself."""
+        with Tape() as tape:
+            tracked = [tape.watch(Tensor(a)) for a in inputs]
+            out = op(*tracked)
+            tape.backward(tsum(mul(out, Tensor(probe))))
+            return out.numpy(), [tape.grad(t) for t in tracked]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    @pytest.mark.parametrize("lead", [(2,), ()])
+    @pytest.mark.parametrize("n_heads", [4, 2])  # H_q, and H_kv < H_q from the same d_model
+    def test_project_heads_is_matmul_then_head_split(self, dtype, lead, n_heads):
+        rng = np.random.default_rng(n_heads)
+        H, T, D, K = n_heads, self.T, self.D, 16
+        x, w = rng.standard_normal(lead + (T, K)).astype(dtype), rng.standard_normal((K, H * D)).astype(dtype)
+        probe = rng.standard_normal(lead + (H, T, D)).astype(dtype)
+        out, (dx, dw) = self.taped(lambda a, b: _project_heads(a, b, H), (x, w), probe)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, np.matmul(_rows(x), w).reshape(lead + (T, H, D)).swapaxes(-2, -3))
+        g_rows = _rows(np.ascontiguousarray(probe.swapaxes(-2, -3)).reshape(lead + (T, H * D)))
+        np.testing.assert_array_equal(dx, np.matmul(g_rows, w.T).reshape(x.shape))
+        np.testing.assert_array_equal(dw, np.matmul(_rows(x).T, g_rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    @pytest.mark.parametrize("lead", [(2,), ()])
+    @pytest.mark.parametrize("n_heads", [4, 2])
+    def test_merge_project_is_head_merge_then_matmul(self, dtype, lead, n_heads):
+        rng = np.random.default_rng(10 + n_heads)
+        H, T, D, N = n_heads, self.T, self.D, 16
+        o, w = rng.standard_normal(lead + (H, T, D)).astype(dtype), rng.standard_normal((H * D, N)).astype(dtype)
+        probe = rng.standard_normal(lead + (T, N)).astype(dtype)
+        out, (do, dw) = self.taped(_merge_project, (o, w), probe)
+        o_rows = _rows(np.ascontiguousarray(o.swapaxes(-2, -3)).reshape(lead + (T, H * D)))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, np.matmul(o_rows, w).reshape(lead + (T, N)))
+        expected_do = np.matmul(_rows(probe), w.T).reshape(lead + (T, H, D)).swapaxes(-2, -3)
+        np.testing.assert_array_equal(do, expected_do)
+        np.testing.assert_array_equal(dw, np.matmul(o_rows.T, _rows(probe)))
+
+
+class TestOpCounts:
+    """Ops per tape-free toy decode step (`ModelConfig()`, after a 64-token
+    prompt) and taped nodes per toy `forward_loss` (batch 8 x 17), by name.
+    Each attention projection is one `matmul`: no op splits or merges heads."""
+
+    PER_LAYER = {"add": 16, "attention": 8, "embed": 1, "rmsnorm": 17, "swiglu": 8}
+    STEP = {
+        "Vanilla": {"matmul": 49, "rope": 16},
+        "GQA": {"matmul": 49, "rope": 16},
+        "YOCO": {"matmul": 41, "rope": 12},
+        "FusedKV": {"matmul": 41, "rope": 12, "expand_pairs": 8},
+        "DenseFusion": {"matmul": 41, "rope": 12},
+    }
+    TOTALS = {"Vanilla": 115, "GQA": 115, "YOCO": 103, "FusedKV": 111, "DenseFusion": 103}
+
+    @pytest.fixture
+    def ops(self, monkeypatch):
+        counts: dict = {}
+        inner = crosskv.tensor.record_op
+
+        def counted(op, out, parents, backward):
+            counts[op] = counts.get(op, 0) + 1
+            return inner(op, out, parents, backward)
+
+        for module in (crosskv.tensor, crosskv.model, crosskv.rope, crosskv.attention):
+            monkeypatch.setattr(module, "record_op", counted)
+        return counts
+
+    @pytest.mark.parametrize("strategy", list(STEP))
+    def test_decode_step_ops_by_name(self, ops, strategy):
+        m = build_model(ModelConfig(strategy=strategy), seed=0)
+        prompt = np.arange(64)
+        m.decode(prompt, 1)  # the prefill alone
+        prefill = dict(ops)
+        ops.clear()
+        m.decode(prompt, 2)  # the prefill, then one step
+        step = {op: n - prefill.get(op, 0) for op, n in ops.items() if n != prefill.get(op, 0)}
+        assert step == {**self.PER_LAYER, **self.STEP[strategy]}
+        assert sum(step.values()) == self.TOTALS[strategy]
+
+    @pytest.mark.parametrize(
+        "strategy, nodes",
+        [
+            ("Vanilla", {"matmul": 49, "rope": 16}),
+            ("FusedKV", {"matmul": 41, "rope": 12, "expand_pairs": 8, "mul": 16, "add": 24}),
+            ("DenseFusion", {"matmul": 41, "rope": 12, "mul": 32, "add": 40}),
+        ],
+    )
+    def test_forward_loss_nodes_by_name(self, strategy, nodes):
+        m = build_model(ModelConfig(strategy=strategy), seed=0)
+        tokens = np.random.default_rng(1).integers(0, 64, size=(8, 17))
+        with Tape() as tape:
+            for _, p in m.parameters():
+                tape.watch(p)
+            m.forward_loss(tokens)
+        got: dict = {}
+        for node in tape.nodes:
+            if node.op != "leaf":
+                got[node.op] = got.get(node.op, 0) + 1
+        assert got == {**self.PER_LAYER, "cross_entropy": 1, **nodes}
+        assert sum(got.values()) == {"Vanilla": 116, "FusedKV": 136, "DenseFusion": 160}[strategy]
+        assert not {"split_heads", "merge_heads"} & set(got)
 
 
 class TestHeatmap:
