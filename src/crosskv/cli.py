@@ -32,6 +32,7 @@ from .costmodel import (
 from .model import ModelConfig, build_model, fusion_weight_rows
 from .report import write_manifest, write_rows, write_train_report
 from .sharing import canonical_strategy
+from .tensor import EvaluationError
 from .training import DEFAULT_LEARNING_RATE, DEFAULT_PROMPT_LEN, TASK_NAMES, TrainingDivergedError, check_training, train
 from .verify import SUITES, run_suites
 
@@ -161,9 +162,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 
 
 def _output_dir(args) -> Path:
-    if getattr(args, "output_dir", None):
-        return Path(args.output_dir)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
+    """The artifact directory, checked before any work and without creating
+    anything: the path, or else its nearest existing ancestor, must be a directory."""
+    path = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "runs"))
+    found = next((p for p in (path, *path.parents) if p.exists() or p.is_symlink()), None)
+    if found is not None and not found.is_dir():
+        raise ConfigError(f"output directory {path}: {found} is not a directory")
+    return path
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -193,7 +198,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run module invariant suites")
     _add_common_flags(p_verify)
-    p_verify.add_argument("--suite", action="append", help=f"suite name ({', '.join(SUITES)}); repeatable")
+    p_verify.add_argument("--suite", action="append", type=_names, help=f"suite name ({', '.join(SUITES)}); repeatable")
     p_verify.add_argument("--seed", type=int, required=True, help="recorded in the manifest; suites pin their own seeds")
 
     p_cost = sub.add_parser("cost", help="analytic cost and roofline sweep")
@@ -260,10 +265,9 @@ def _train_settings(args, *extra: str) -> dict:
     return {key: getattr(args, key) for key in ("task", "steps", "batch_size", "learning_rate", "prompt_len", *extra)}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, outdir: Path) -> int:
     cfg = _model_config(args)
     _check_training(args)
-    outdir = _output_dir(args)
     model, report = _train_model(args, cfg, eval_interval=args.eval_interval)
     settings = {**_model_settings(args), **_train_settings(args, "eval_interval", "save_checkpoint")}
     write_manifest(outdir, "train", settings, args.seed)
@@ -277,18 +281,14 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    names = []
-    for item in args.suite or []:
-        names.extend(s for s in item.split(",") if s)
-    names = list(dict.fromkeys(names))  # each suite runs once, in the order first named
+def _cmd_verify(args, outdir: Path) -> int:
+    names = list(dict.fromkeys(name for item in args.suite or [] for name in item))  # each once, as first named
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     results = run_suites(names or None)
     for r in results:
         print(r.line())
-    outdir = _output_dir(args)
     write_manifest(outdir, "verify", {"suites": names or list(SUITES)}, args.seed)
     rows = [vars(r) for r in results]
     write_rows(outdir, "verify", ("suite", "name", "passed", "detail"), rows, mirror_json=args.format == "json")
@@ -300,7 +300,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args, outdir: Path) -> int:
     methods, lengths = args.methods, args.seq_lens
     devices = []
     for name in args.device or []:
@@ -322,7 +322,6 @@ def _cmd_cost(args) -> int:
         rows = sweep(methods, specs, devices, args.weight_bytes)
     except ValueError as e:
         raise ConfigError(str(e))
-    outdir = _output_dir(args)
     write_manifest(
         outdir,
         "cost",
@@ -337,7 +336,7 @@ def _cmd_cost(args) -> int:
     return EXIT_OK
 
 
-def _cmd_heatmap(args) -> int:
+def _cmd_heatmap(args, outdir: Path) -> int:
     model = build_model(_model_config(args), seed=args.seed)
     if args.checkpoint:
         try:
@@ -348,7 +347,6 @@ def _cmd_heatmap(args) -> int:
         rows = fusion_weight_rows(model)
     except ValueError as e:
         raise ConfigError(str(e))
-    outdir = _output_dir(args)
     write_manifest(outdir, "heatmap", {**_model_settings(args), "checkpoint": args.checkpoint}, args.seed)
     write_rows(outdir, "fusion_weights", rows[0], rows, mirror_json=args.format == "json")
     targets = {row["target"] for row in rows}
@@ -357,7 +355,7 @@ def _cmd_heatmap(args) -> int:
     return EXIT_OK
 
 
-def _cmd_decode_bench(args) -> int:
+def _cmd_decode_bench(args, outdir: Path) -> int:
     strategies = args.strategies or args.strategy.split(",")
     if args.new_tokens < 0:
         raise ConfigError(f"argument --new-tokens: expected a nonnegative integer, got {args.new_tokens}")
@@ -369,8 +367,9 @@ def _cmd_decode_bench(args) -> int:
     for name, cfg in zip(names, configs):
         model = build_model(cfg, seed=args.seed)
         prompt = rng.integers(0, cfg.vocab_size, size=args.prompt_len)
-        res = model.decode(prompt, args.new_tokens)
-        full = model.forward_logits(res.tokens).numpy()[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises EvaluationError
+            res = model.decode(prompt, args.new_tokens)
+            full = model.forward_logits(res.tokens).numpy()[0]
         dev = float(np.abs(full[: len(res.logits)] - res.logits).max())
         rows.append(
             {
@@ -383,7 +382,6 @@ def _cmd_decode_bench(args) -> int:
                 "incremental_vs_full_max_dev": repr(dev),
             }
         )
-    outdir = _output_dir(args)
     write_manifest(outdir, "decode-bench", {**_model_settings(args), "strategies": strategies,
                                             "prompt_len": args.prompt_len, "new_tokens": args.new_tokens}, args.seed)
     write_rows(outdir, "decode_bench", rows[0], rows, mirror_json=args.format == "json")
@@ -395,7 +393,7 @@ def _cmd_decode_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, outdir: Path) -> int:
     strategies = args.strategies
     if len(strategies) < 2:
         raise ConfigError("compare needs at least two strategies")
@@ -404,7 +402,6 @@ def _cmd_compare(args) -> int:
     summary_prompt = np.arange(min(16, args.vocab))  # each summary row decodes it plus 8 new tokens
     if summary_prompt.size + 8 > args.max_seq:  # --max-seq is every config's max_seq_len
         raise ConfigError(f"--max-seq {args.max_seq} is below the summary decode's {summary_prompt.size + 8} tokens")
-    outdir = _output_dir(args)
     mirror = args.format == "json"
     write_manifest(outdir, "compare", {**_model_settings(args), "strategies": strategies, **_train_settings(args)},
                    args.seed)
@@ -469,11 +466,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _output_dir(args))
     except ConfigError as e:
         print(f"crosskv: configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrainingDivergedError as e:
+    except (TrainingDivergedError, EvaluationError) as e:
         print(f"crosskv: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:

@@ -77,20 +77,11 @@ STRATEGY_NAMES = (
     "DenseFusion",
 )
 
-_ALIASES = {
-    "vanilla": "Vanilla",
+_ALIASES = {name.lower(): name for name in STRATEGY_NAMES} | {
     "mha": "Vanilla",
-    "gqa": "GQA",
-    "cla": "CLA",
-    "yoco": "YOCO",
-    "fusedkv": "FusedKV",
-    "fusedkv-lite": "FusedKV-Lite",
     "lite": "FusedKV-Lite",
-    "fusedkv-lite-rev": "FusedKV-Lite-Rev",
     "lite-rev": "FusedKV-Lite-Rev",
-    "fusedkv-lite-learnable": "FusedKV-Lite-Learnable",
     "lite-learnable": "FusedKV-Lite-Learnable",
-    "densefusion": "DenseFusion",
 }
 
 _ABLATION_RE = re.compile(r"^value(\d+)key(\d+)$", re.IGNORECASE)
@@ -206,17 +197,10 @@ def plan_for_strategy(strategy: str, n_layers: int, middle: int | None = None) -
         rules = {i: ReconstructionSpec(key_rule, value_rule) for i in top}
         return SharingPlan(n_layers, storage, rules)
 
-    if name == "YOCO":
-        rule = CacheRule((middle,), DIRECT)
-        return half_plan(rule, rule)
     if name == "FusedKV":
         srcs = (1, middle) if middle > 1 else (1,)
         rule = CacheRule(srcs, FUSION_VECTOR)
         return half_plan(rule, rule)
-    if name == "FusedKV-Lite":
-        return half_plan(CacheRule((middle,), DIRECT), CacheRule((1,), DIRECT))
-    if name == "FusedKV-Lite-Rev":
-        return half_plan(CacheRule((1,), DIRECT), CacheRule((middle,), DIRECT))
     if name == "FusedKV-Lite-Learnable":
         return half_plan(
             CacheRule((middle,), FUSION_VECTOR), CacheRule((1,), FUSION_VECTOR)
@@ -225,9 +209,9 @@ def plan_for_strategy(strategy: str, n_layers: int, middle: int | None = None) -
         rule = CacheRule(storage, FUSION_SCALAR)
         return half_plan(rule, rule)
 
-    m = _ABLATION_RE.match(name)
-    assert m is not None
-    value_src, key_src = int(m.group(1)), int(m.group(2))
+    # Direct reuse, as (value source, key source): the named ones, else value<X>key<Y>.
+    direct = {"YOCO": (middle, middle), "FusedKV-Lite": (1, middle), "FusedKV-Lite-Rev": (middle, 1)}
+    value_src, key_src = direct[name] if name in direct else map(int, _ABLATION_RE.match(name).groups())
     for label, src in (("value", value_src), ("key", key_src)):
         if not 1 <= src <= middle:
             raise ValueError(f"{label} source {src} outside storage range 1..{middle}")
@@ -416,22 +400,32 @@ def _named(key: dict, value: dict) -> dict:
     return named | {f"fusion.value.{i}.{j}": Tensor(w) for (i, j), w in sorted(value.items())}
 
 
-def init_normal(plan: SharingPlan, head_dim: int, seed) -> dict:
-    """Standard-normal fusion weights, by parameter name.
+def _rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    Vector key weights draw their D/2 free values per (target, source)
-    pair, value weights D values, scalar rules one value; each layer draws
-    its key rule's then its value rule's. Deterministic for a fixed seed.
+
+def _draw(rng: np.random.Generator, rule: CacheRule, cache: str, head_dim: int):
+    """One standard-normal fusion weight in its parameter form: the D/2
+    free values of a vector key weight, D values of a vector value
+    weight, one number for a scalar rule."""
+    if rule.kind == FUSION_SCALAR:
+        return rng.standard_normal()
+    return rng.standard_normal(head_dim // 2 if cache == "key" else head_dim)
+
+
+def init_normal(plan: SharingPlan, head_dim: int, seed) -> dict:
+    """Standard-normal fusion weights (`_draw`), by parameter name: per
+    (target, source) pair, each layer draws its key rule's then its value
+    rule's. Deterministic for a fixed seed.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     key, value = {}, {}
     for i in sorted(plan.rules):
         spec = plan.rules[i]
-        for out, rule, width in ((key, spec.key, head_dim // 2), (value, spec.value, head_dim)):
-            if rule.kind == DIRECT:
-                continue
-            for j in rule.sources:
-                out[(i, j)] = rng.standard_normal(width) if rule.kind == FUSION_VECTOR else rng.standard_normal()
+        for out, rule, cache in ((key, spec.key, "key"), (value, spec.value, "value")):
+            if rule.kind != DIRECT:
+                for j in rule.sources:
+                    out[(i, j)] = _draw(rng, rule, cache, head_dim)
     return _named(key, value)
 
 
@@ -441,8 +435,9 @@ class IterativeWeights:
 
     Both dicts are keyed by (target layer, source layer). For the first
     reconstruction layer n+1 the sources are {1, n}; above that, keys fuse
-    (i-1, n) and values fuse (i-1, 1). Entries are raw arrays (length D,
-    key entries pair-symmetric) or plain floats for scalar toys.
+    (i-1, n) and values fuse (i-1, 1). Entries are in the parameters' form
+    (`_draw`): a vector key weight holds its D/2 free values, a vector
+    value weight D values, a scalar rule one number.
     """
 
     key: dict
@@ -468,18 +463,17 @@ def _fusedkv_shape(plan: SharingPlan) -> int:
 
 
 def sample_iterative_weights(plan: SharingPlan, head_dim: int, seed) -> IterativeWeights:
-    """Draw standard-normal auxiliary weights for the chain form (key
-    entries pair-symmetric, value entries unconstrained)."""
+    """Draw standard-normal auxiliary weights for the chain form (`_draw`):
+    per layer, its key entries then its value entries."""
     n = _fusedkv_shape(plan)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     key, value = {}, {}
     for i in range(n + 1, plan.n_layers + 1):
-        key_srcs = (1, n) if i == n + 1 else (i - 1, n)
-        val_srcs = (1, n) if i == n + 1 else (i - 1, 1)
-        for j in key_srcs:
-            key[(i, j)] = np.repeat(rng.standard_normal(head_dim // 2), 2)
-        for j in val_srcs:
-            value[(i, j)] = rng.standard_normal(head_dim)
+        spec = plan.rules[i]
+        for j in (1, n) if i == n + 1 else (i - 1, n):
+            key[(i, j)] = _draw(rng, spec.key, "key", head_dim)
+        for j in (1, n) if i == n + 1 else (i - 1, 1):
+            value[(i, j)] = _draw(rng, spec.value, "value", head_dim)
     return IterativeWeights(key, value)
 
 
@@ -497,31 +491,19 @@ def init_equivalent(plan: SharingPlan, auxiliary: IterativeWeights) -> dict:
                 b[i,n]   = b'[i,i-1] * b[i-1,n]
 
     so standard-form reconstruction with the returned weights matches
-    `iterative_reconstruct` exactly.
+    `iterative_reconstruct` exactly. It runs on the entries as they are: a
+    product of free key values is the free values of the product.
     """
     n = _fusedkv_shape(plan)
-    a: dict = {}
-    b: dict = {}
-    for i in range(n + 1, plan.n_layers + 1):
-        if i == n + 1:
-            a[(i, 1)] = np.asarray(auxiliary.key[(i, 1)], dtype=np.float64)
-            a[(i, n)] = np.asarray(auxiliary.key[(i, n)], dtype=np.float64)
-            b[(i, 1)] = np.asarray(auxiliary.value[(i, 1)], dtype=np.float64)
-            b[(i, n)] = np.asarray(auxiliary.value[(i, n)], dtype=np.float64)
-        else:
-            ak_prev = np.asarray(auxiliary.key[(i, i - 1)], dtype=np.float64)
-            a[(i, 1)] = ak_prev * a[(i - 1, 1)]
-            a[(i, n)] = ak_prev * a[(i - 1, n)] + np.asarray(auxiliary.key[(i, n)], dtype=np.float64)
-            bv_prev = np.asarray(auxiliary.value[(i, i - 1)], dtype=np.float64)
-            b[(i, 1)] = bv_prev * b[(i - 1, 1)] + np.asarray(auxiliary.value[(i, 1)], dtype=np.float64)
-            b[(i, n)] = bv_prev * b[(i - 1, n)]
-
-    vector = plan.rules[n + 1].key.kind == FUSION_VECTOR
-    for slot, arr in a.items():
-        if vector and arr.ndim != 0:
-            if not np.array_equal(arr[0::2], arr[1::2]):
-                raise ValueError(f"auxiliary key weight for {slot} is not pair-symmetric")
-            a[slot] = arr[0::2]  # the free entries
+    aux_a = {slot: np.asarray(w, dtype=np.float64) for slot, w in auxiliary.key.items()}
+    aux_b = {slot: np.asarray(w, dtype=np.float64) for slot, w in auxiliary.value.items()}
+    a = {(n + 1, j): aux_a[(n + 1, j)] for j in (1, n)}
+    b = {(n + 1, j): aux_b[(n + 1, j)] for j in (1, n)}
+    for i in range(n + 2, plan.n_layers + 1):
+        a[(i, 1)] = aux_a[(i, i - 1)] * a[(i - 1, 1)]
+        a[(i, n)] = aux_a[(i, i - 1)] * a[(i - 1, n)] + aux_a[(i, n)]
+        b[(i, 1)] = aux_b[(i, i - 1)] * b[(i - 1, 1)] + aux_b[(i, 1)]
+        b[(i, n)] = aux_b[(i, i - 1)] * b[(i - 1, n)]
     return _named(a, b)
 
 
@@ -529,7 +511,8 @@ def iterative_reconstruct(
     plan: SharingPlan, auxiliary: IterativeWeights, stored: dict
 ) -> dict:
     """Chain-form reconstruction: every layer fuses the previous rebuilt
-    cache with the recurring anchor (layer n for keys, layer 1 for values).
+    cache with the recurring anchor (layer n for keys, layer 1 for values),
+    each weight applied as `fusion_weight` applies it.
     Returns {layer: (K, V)} for all reconstruction layers."""
     n = _fusedkv_shape(plan)
     for j in (1, n):
@@ -537,19 +520,20 @@ def iterative_reconstruct(
             raise KeyError(f"anchor cache for layer {j} is not stored")
     if stored[1].length != stored[n].length:
         raise DimensionError("anchor caches have different lengths")
+    named = _named(auxiliary.key, auxiliary.value)
+
+    def a(i: int, j: int) -> Tensor:
+        return fusion_weight(named, plan.rules[i].key, "key", i, j)
+
+    def b(i: int, j: int) -> Tensor:
+        return fusion_weight(named, plan.rules[i].value, "value", i, j)
+
     out: dict = {}
-    k_prev: Tensor | None = None
-    v_prev: Tensor | None = None
-    for i in range(n + 1, plan.n_layers + 1):
-        if i == n + 1:
-            k = auxiliary.key[(i, 1)] * stored[1].keys + auxiliary.key[(i, n)] * stored[n].keys
-            v = (
-                auxiliary.value[(i, 1)] * stored[1].values
-                + auxiliary.value[(i, n)] * stored[n].values
-            )
-        else:
-            k = auxiliary.key[(i, i - 1)] * k_prev + auxiliary.key[(i, n)] * stored[n].keys
-            v = auxiliary.value[(i, i - 1)] * v_prev + auxiliary.value[(i, 1)] * stored[1].values
+    k = a(n + 1, 1) * stored[1].keys + a(n + 1, n) * stored[n].keys
+    v = b(n + 1, 1) * stored[1].values + b(n + 1, n) * stored[n].values
+    out[n + 1] = (k, v)
+    for i in range(n + 2, plan.n_layers + 1):
+        k = a(i, i - 1) * k + a(i, n) * stored[n].keys
+        v = b(i, i - 1) * v + b(i, 1) * stored[1].values
         out[i] = (k, v)
-        k_prev, v_prev = k, v
     return out

@@ -5,8 +5,9 @@ on positions the task actually makes predictable (e.g. the echoed half of
 a copy sequence). Updates are decoupled-weight-decay Adam with global-norm
 gradient clipping; everything is deterministic under a fixed seed. A step
 copies nothing it does not compute: the tape's gradients are used as they
-are, Adam updates its float64 moments in place, and each new parameter
-array is adopted as it is (`_adam_update`). The learning rate and the
+are, the clip ratio is applied inside Adam's pass, Adam updates its
+float64 moments in place, and each new parameter array is adopted as it
+is (`_adam_update`). The learning rate and the
 copy task's prompt length are the only settings; the rest are the
 constants below. Reports hold the rows the CSV writers write.
 """
@@ -185,22 +186,23 @@ def train(
     for step in range(steps):
         tokens, mask = make_batch(task, rng, model.cfg.vocab_size, batch_size, prompt_len)
         try:
-            loss, grads = _clipped_gradients(model, tokens, mask)
+            loss, grads, ratio = _gradients(model, tokens, mask)
             losses.append(loss)
-            _adam_update(model, grads, moments, step + 1, learning_rate)
+            _adam_update(model, grads, moments, step + 1, learning_rate, ratio)
         except EvaluationError:
             raise TrainingDivergedError(step) from None
         if step % eval_interval == 0 or step == steps - 1:
-            norm_rows.extend(_grad_norm_rows(model, grads, step))
+            norm_rows.extend(_grad_norm_rows(model, grads, ratio, step))
 
     fusion = fusion_weight_rows(model) if model.plan.has_fusion_weights else None
     return TrainReport(losses, norm_rows, fusion)
 
 
-def _clipped_gradients(model: DecoderModel, tokens, mask) -> tuple[float, dict]:
-    """The batch's loss, and its gradients scaled to a global norm of at
-    most GRAD_CLIP. numpy's overflow warnings are off: a non-finite op
-    result or global norm raises EvaluationError instead."""
+def _gradients(model: DecoderModel, tokens, mask) -> tuple[float, dict, float]:
+    """The batch's loss, its gradients as the tape gives them, and the
+    ratio that clips them to a global norm of at most GRAD_CLIP (1.0 when
+    the norm is within it). numpy's overflow warnings are off: a
+    non-finite op result or global norm raises EvaluationError instead."""
     with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
         names = model.parameters()
         for _, p in names:
@@ -211,30 +213,30 @@ def _clipped_gradients(model: DecoderModel, tokens, mask) -> tuple[float, dict]:
         total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not math.isfinite(total):
         raise EvaluationError("gradients: global norm is not finite")
-    if total > GRAD_CLIP:
-        ratio = GRAD_CLIP / total
-        grads = {k: g * ratio for k, g in grads.items()}
-    return loss.item(), grads
+    return loss.item(), grads, GRAD_CLIP / total if total > GRAD_CLIP else 1.0
 
 
-def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: float) -> None:
-    """Update every parameter with Adam step number `t` (from 1).
+def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: float, ratio: float = 1.0) -> None:
+    """Update every parameter with Adam step number `t` (from 1), from its
+    gradient scaled by the clip `ratio`.
 
-    The moments are float64 arrays updated in place. Each new parameter is
-    a fresh array, computed in float64 in the closed form's order of
-    operations and adopted without a copy; `Tensor._wrap` checks it finite,
-    so an overflow raises EvaluationError naming the parameter (numpy's
-    warnings are off). The old parameter arrays are never written: a
+    Each gradient is multiplied by `ratio` in its own dtype, into the
+    float64 scratch array that later holds the step, so the clip copies no
+    gradient. The moments are float64 arrays updated in place. Each new
+    parameter is a fresh array, computed in float64 in the closed form's
+    order of operations and adopted without a copy; `Tensor._wrap` checks
+    it finite, so an overflow raises EvaluationError naming the parameter
+    (numpy's warnings are off). The old parameter arrays are never written: a
     `state_dict()` taken before a step keeps its values."""
     dt = model.cfg.dtype
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in model.parameters():
-            g = np.asarray(grads[name], dtype=np.float64)
             p64 = np.asarray(p.numpy(), dtype=np.float64)
             if name not in moments:
                 moments[name] = np.zeros_like(p64), np.zeros_like(p64)
             m, v = moments[name]
             step, den = np.empty_like(p64), np.empty_like(p64)
+            g = np.multiply(grads[name], ratio, out=step)  # last read before the step overwrites it
             m *= BETA1
             m += (1 - BETA1) * g
             np.multiply(g, g, out=den)
@@ -255,12 +257,12 @@ def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: fl
             model.params[name] = Tensor._wrap(new, f"adam update of {name}")
 
 
-def _grad_norm_rows(model: DecoderModel, grads: dict, step: int) -> list[dict]:
-    """One row per layer of its Q/K/V projection gradient norms; a
+def _grad_norm_rows(model: DecoderModel, grads: dict, ratio: float, step: int) -> list[dict]:
+    """One row per layer of its clipped Q/K/V projection gradient norms; a
     reconstruction layer has no K/V projections, hence ''."""
 
     def norm(name: str) -> str:
-        return repr(float(np.linalg.norm(grads[name]))) if name in grads else ""
+        return repr(float(np.linalg.norm(grads[name] * ratio))) if name in grads else ""
 
     return [
         {"step": step, "layer": i, **{f"{x}_norm": norm(f"layer{i}.w_{x}") for x in "qkv"}}

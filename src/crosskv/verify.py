@@ -679,8 +679,6 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     return SUITES[name]()
 
 

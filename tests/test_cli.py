@@ -5,6 +5,7 @@ import os
 import platform
 import shutil
 import subprocess
+import time
 import warnings
 from pathlib import Path
 
@@ -554,4 +555,54 @@ class TestNamedErrors:
         assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("crosskv: configuration error: ") and message in err
+        assert not out.exists()
+
+
+class TestBoundaries:
+    """A flag value that names nothing, an output path that cannot be a
+    directory, and a non-finite forward each end in one named line."""
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_suite_naming_no_suite_exits_one_running_nothing(self, value, tmp_path, monkeypatch, capsys):
+        def never(names):
+            raise AssertionError(f"run_suites({names!r}) was called")
+
+        monkeypatch.setattr(crosskv.cli, "run_suites", never)
+        out = tmp_path / "out"
+        assert run(["verify", "--suite", value, "--seed", "1", "--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and "--suite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--seed", "1", "--steps", "1000000"] + TINY_MODEL,
+            ["verify", "--suite", "rope", "--seed", "1"],
+            ["cost"],
+            ["heatmap", "--strategy", "FusedKV"] + TINY_MODEL,
+            ["decode-bench"] + TINY_MODEL,
+            ["compare", "--strategies", "Vanilla,YOCO", "--seed", "1", "--steps", "1000000"] + TINY_MODEL,
+        ],
+        ids=["train", "verify", "cost", "heatmap", "decode-bench", "compare"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_output_dir_that_is_not_a_directory_exits_one_before_any_work(self, argv, below, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n")
+        out = blocker / "sub" if below else blocker
+        started = time.perf_counter()
+        assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+        assert time.perf_counter() - started < 5  # a million training steps would take hours
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and str(out) in err
+        assert blocker.read_text() == "a file\n" and sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_non_finite_forward_exits_two_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["decode-bench", "--strategies", "Vanilla", "--layers", "2", "--d-model", "8", "--query-heads", "2",
+                "--kv-heads", "2", "--init-std", "1e200", "--output-dir", str(out)]
+        assert run(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: ") and "configuration error" not in err and err.count("\n") == 1
         assert not out.exists()

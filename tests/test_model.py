@@ -150,6 +150,16 @@ class TestBuildModel:
         # weightless plans ignore the scheme entirely
         build_model(small_cfg("FusedKV-Lite", init_scheme="equivalent"), seed=0)
 
+    def test_dense_fusion_equivalent_init_draws_scalars(self):
+        # at L=4 DenseFusion's layers {3, 4} are two-anchor shaped; its chain
+        # form must draw scalars, as its normal init does
+        cfg = ModelConfig(strategy="DenseFusion", n_layers=4, d_model=16, n_query_heads=2, n_kv_heads=2,
+                          init_scheme="equivalent")
+        m = build_model(cfg, 0)
+        fusion = [t for name, t in m.parameters() if name.startswith("fusion.")]
+        assert len(fusion) == 8 and all(t.shape == () for t in fusion)
+        assert m.parameter_count() == _expected_parameter_count(cfg, m.plan)
+
     def test_single_precision_parameters(self):
         m = build_model(small_cfg(precision="single"), seed=0)
         assert all(t.dtype == np.float32 for _, t in m.parameters())

@@ -37,6 +37,19 @@ class TestStrategyNames:
         assert canonical_strategy("Lite-Rev") == "FusedKV-Lite-Rev"
         assert canonical_strategy("value05key8") == "value5key8"
 
+    @pytest.mark.parametrize(
+        "alias, name",
+        [
+            ("vanilla", "Vanilla"), ("mha", "Vanilla"), ("gqa", "GQA"), ("cla", "CLA"), ("yoco", "YOCO"),
+            ("fusedkv", "FusedKV"), ("fusedkv-lite", "FusedKV-Lite"), ("lite", "FusedKV-Lite"),
+            ("fusedkv-lite-rev", "FusedKV-Lite-Rev"), ("lite-rev", "FusedKV-Lite-Rev"),
+            ("fusedkv-lite-learnable", "FusedKV-Lite-Learnable"), ("lite-learnable", "FusedKV-Lite-Learnable"),
+            ("densefusion", "DenseFusion"),
+        ],
+    )
+    def test_alias_table(self, alias, name):
+        assert canonical_strategy(alias) == canonical_strategy(alias.upper()) == name
+
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             canonical_strategy("bogus")
@@ -223,8 +236,8 @@ class TestEquivalentInit:
         plan = plan_for_strategy("FusedKV", 3, 2)  # single reconstruction layer
         aux = sample_iterative_weights(plan, 8, 13)
         w = init_equivalent(plan, aux)
-        np.testing.assert_array_equal(expand_pairs(w["fusion.key.3.1"]).numpy(), aux.key[(3, 1)])
-        np.testing.assert_array_equal(expand_pairs(w["fusion.key.3.2"]).numpy(), aux.key[(3, 2)])
+        np.testing.assert_array_equal(w["fusion.key.3.1"].numpy(), aux.key[(3, 1)])
+        np.testing.assert_array_equal(w["fusion.key.3.2"].numpy(), aux.key[(3, 2)])
         np.testing.assert_array_equal(w["fusion.value.3.1"].numpy(), aux.value[(3, 1)])
 
     def test_hand_unrolled_scalar_recursion(self):
@@ -261,11 +274,11 @@ class TestIterativeReconstruct:
         stored = random_caches((1, 2), seed=23)
         aux = sample_iterative_weights(plan, 8, 29)
         for i in (4, 5):
-            aux.key[(i, i - 1)] = np.zeros(8)
+            aux.key[(i, i - 1)] = np.zeros(4)  # D/2 free key values
             aux.value[(i, i - 1)] = np.zeros(8)
         chain = iterative_reconstruct(plan, aux, stored)
         for i in (4, 5):
-            want_k = aux.key[(i, 2)] * stored[2].keys.numpy()
+            want_k = expand_pairs(aux.key[(i, 2)]).numpy() * stored[2].keys.numpy()
             want_v = aux.value[(i, 1)] * stored[1].values.numpy()
             np.testing.assert_allclose(chain[i][0].numpy(), want_k, atol=1e-12)
             np.testing.assert_allclose(chain[i][1].numpy(), want_v, atol=1e-12)
