@@ -164,7 +164,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
 def _output_dir(args) -> Path:
     """The artifact directory, checked before any work and without creating
     anything: the path, or else its nearest existing ancestor, must be a directory."""
-    path = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV, "runs"))
+    raw = args.output_dir if args.output_dir is not None else os.environ.get(OUTPUT_DIR_ENV, "runs")
+    if not raw:  # an empty flag or variable names no directory
+        raise ConfigError(f"empty output directory (--output-dir or ${OUTPUT_DIR_ENV}) names none")
+    path = Path(raw)
     found = next((p for p in (path, *path.parents) if p.exists() or p.is_symlink()), None)
     if found is not None and not found.is_dir():
         raise ConfigError(f"output directory {path}: {found} is not a directory")

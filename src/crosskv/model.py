@@ -4,23 +4,25 @@ Storage layers own query/key/value/output projections; reconstruction
 layers drop the key and value projections and rebuild their caches from
 stored ones, so their only attention parameters are the query and output
 projections plus any fusion weights. Blocks are pre-norm RMS, projections
-are biasless, and the MLP is a gated silu unit. Each attention projection
-is one `matmul` op, its head split or merge folded into the GEMM.
+are biasless, and the MLP is a gated silu unit. Each projection is one
+`matmul` op, a head split or merge, or a residual add, folded into it.
 
 Every pass runs one layer body, `_block`, in one block loop, `_layers`:
 training and `forward_logits` over the whole sequence into a fresh cache
 dict, `decode` for each step and for its prefill, appending to the caches
-that only storage layers keep. The prefill embeds the prompt once, then
+that only storage layers keep. A pass reads `params` once, fusion weights
+applied (`_weights`; a decode, once for all its steps), so a concurrent
+update changes nothing it reads. The prefill embeds the prompt once, then
 runs it through the stack `PREFILL_CHUNK` rows at a time, so each chunk
 attends to the keys up to its own end and no [H, T, T] score tensor is
 built. Every layer hands the attention kernel a `LayerCache` of weighted
-terms. A storage layer's is its own rows (`LayerCache.stored`); a
-tape-free pass writes its first rows into a buffer of `max_seq_len` rows
+terms. A storage layer's is its own rows (`LayerCache.stored`); a tape-free
+pass writes its first rows into a buffer of `max_seq_len` rows
 (`LayerCache.buffered`), and each later chunk or step writes only its own
-rows (`LayerCache.append`). A reconstruction layer's is its sources'
-stored tensors and fusion weights (`folded_cache`); the kernel folds them
-only where nothing records (a tape-free one-row step) and sums them
-otherwise, so `sharing.reconstruct` stays an oracle.
+rows (`LayerCache.append`). A reconstruction layer's is its sources' stored
+tensors and fusion weights (`folded_cache`); the kernel folds them only
+where nothing records (a tape-free one-row step) and sums them otherwise,
+so `sharing.reconstruct` stays an oracle.
 Whether a tape records decides only what is recorded, buffering and
 folding. Every pass checks finiteness one way: its blocks run under one
 unchecked context, each block's output is checked once, and a block that
@@ -43,6 +45,7 @@ from .sharing import (
     LayerCache,
     SharingPlan,
     _fusedkv_shape,
+    applied_weights,
     folded_cache,
     fusion_weight,
     init_equivalent,
@@ -154,17 +157,20 @@ def _project_heads(x: Tensor, w: Tensor, n_heads: int) -> Tensor:
     return record_op("matmul", out, (x, w), backward)
 
 
-def _merge_project(o: Tensor, w: Tensor) -> Tensor:
-    """o [..., H, T, D] read token-major as the rows of one GEMM with w [H*D, N]; one `matmul` op."""
-    w_data, token_major = w.data, np.ascontiguousarray(o.data.swapaxes(-2, -3))  # [..., T, H, D]
+def _merge_project(x: Tensor, a: Tensor, w: Tensor) -> Tensor:
+    """x + a·w as one `matmul` op, passing x its gradient. The GEMM's rows are
+    a [..., T, K] (the MLP's hidden rows) or a head-major [..., H, T, D] read
+    token-major (the attention output, K = H*D); a's gradient keeps its layout."""
+    w_data, heads = w.data, a.data.ndim > x.data.ndim
+    token_major = np.ascontiguousarray(a.data.swapaxes(-2, -3)) if heads else a.data  # [..., T, H, D]
     rows, mid_shape = token_major.reshape(-1, w_data.shape[0]), token_major.shape
 
     def backward(g):
         g_rows = g.reshape(rows.shape[0], -1)
-        do = np.matmul(g_rows, w_data.T).reshape(mid_shape).swapaxes(-2, -3)  # written back head-major
-        return np.ascontiguousarray(do), np.matmul(rows.T, g_rows)
+        da = np.matmul(g_rows, w_data.T).reshape(mid_shape)
+        return g, np.ascontiguousarray(da.swapaxes(-2, -3)) if heads else da, np.matmul(rows.T, g_rows)
 
-    return record_op("matmul", rows.dot(w_data).reshape(mid_shape[:-2] + (-1,)), (o, w), backward)
+    return record_op("matmul", x.data + rows.dot(w_data).reshape(x.data.shape), (x, a, w), backward)
 
 
 class DecoderModel:
@@ -175,6 +181,8 @@ class DecoderModel:
         self.plan = plan
         self.params = params  # every parameter, fusion weights (`sharing.init_normal`) included
         self.sched = RopeSchedule(cfg.head_dim, cfg.rope_base)
+        parts = ("attn_norm", "w_q", "w_k", "w_v", "w_o", "mlp_norm", "w_in", "w_out")
+        self._names = [{n: f"layer{i}.{n}" for n in parts} for i in range(cfg.n_layers + 1)]  # by layer, by part
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -208,7 +216,7 @@ class DecoderModel:
                 loaded[name] = Tensor(arr)
             except EvaluationError:
                 raise ValueError(f"parameter {name!r}: checkpoint holds non-finite values") from None
-        self.params.update(loaded)
+        self.params = loaded  # one assignment: a pass that read the old set keeps it whole
 
     # -- forward -----------------------------------------------------------
 
@@ -228,35 +236,41 @@ class DecoderModel:
             raise ValueError(f"token id out of range [0, {self.cfg.vocab_size})")
         return arr
 
-    def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
-        """Decoder layer i over the rows of `x` at `positions`. A storage
-        layer appends its new keys and values to caches[i] in place (a
-        buffer of `max_seq_len` rows), or starts that entry, buffered when
-        tape-free; the append is tape-free, so a taped pass starts from an
-        empty dict. A reconstruction layer hands `attend` the stored caches
-        as weighted terms, folded for one tape-free row and summed else."""
-        xn = rmsnorm(x, self.params[f"layer{i}.attn_norm"])
-        q = _project_heads(xn, self.params[f"layer{i}.w_q"], self.cfg.n_query_heads)
+    def _block(self, i: int, x: Tensor, positions: np.ndarray, caches: dict, weights: dict) -> Tensor:
+        """Decoder layer i over the rows of `x` at `positions`, reading the
+        pass's `weights` (`_weights`). A storage layer appends its new keys
+        and values to caches[i] in place (a buffer of `max_seq_len` rows), or
+        starts that entry, buffered when tape-free; the append is tape-free,
+        so a taped pass starts from an empty dict. A reconstruction layer hands
+        `attend` the stored caches as weighted terms, folded for one tape-free
+        row and summed else. Both residual adds sit in `_merge_project`."""
+        name = self._names[i]
+        xn = rmsnorm(x, weights[name["attn_norm"]])
+        q = _project_heads(xn, weights[name["w_q"]], self.cfg.n_query_heads)
         q = apply_rope(q, positions, self.sched)
         if i in self.plan.rules:
-            cache = folded_cache(self.plan, self.params, caches, i)
+            cache = folded_cache(self.plan, weights, caches, i, expand=False)
         else:
-            k = _project_heads(xn, self.params[f"layer{i}.w_k"], self.cfg.n_kv_heads)
+            k = _project_heads(xn, weights[name["w_k"]], self.cfg.n_kv_heads)
             k = apply_rope(k, positions, self.sched)
-            v = _project_heads(xn, self.params[f"layer{i}.w_v"], self.cfg.n_kv_heads)
+            v = _project_heads(xn, weights[name["w_v"]], self.cfg.n_kv_heads)
             cap = self.cfg.max_seq_len
             caches[i] = cache = caches[i].append(k, v, cap) if i in caches else LayerCache.stored(k, v, i).buffered(cap)
-        o = attend(q, cache)
-        x = x + _merge_project(o, self.params[f"layer{i}.w_o"])
-        xn = rmsnorm(x, self.params[f"layer{i}.mlp_norm"])
-        return x + matmul(swiglu(matmul(xn, self.params[f"layer{i}.w_in"])), self.params[f"layer{i}.w_out"])
+        x = _merge_project(x, attend(q, cache), weights[name["w_o"]])
+        xn = rmsnorm(x, weights[name["mlp_norm"]])
+        return _merge_project(x, swiglu(matmul(xn, weights[name["w_in"]])), weights[name["w_out"]])
 
-    def _forward(self, tokens: np.ndarray, positions: np.ndarray, caches: dict) -> Tensor:
-        """Logits [B, t, vocab] for `tokens` [B, t] at `positions`, through
-        every layer's `_block` with the storage caches in `caches`."""
-        return self._layers(embed(self.params["embed"], tokens), positions, caches)
+    def _weights(self) -> dict:
+        """One pass's parameter set: `params` read once, fusion weights as applied (`applied_weights`)."""
+        return (params := self.params) | applied_weights(self.plan, params)
 
-    def _layers(self, x: Tensor, positions: np.ndarray, caches: dict) -> Tensor:
+    def _forward(self, tokens: np.ndarray, positions: np.ndarray, caches: dict, weights: dict | None = None) -> Tensor:
+        """Logits [B, t, vocab] for `tokens` [B, t] at `positions`, through every layer's
+        `_block` with the storage caches in `caches`, reading `weights` (default `_weights()`)."""
+        weights = self._weights() if weights is None else weights
+        return self._layers(embed(weights["embed"], tokens), positions, caches, weights)
+
+    def _layers(self, x: Tensor, positions: np.ndarray, caches: dict, weights: dict) -> Tensor:
         """`_forward` after the embedding: logits for the rows of `x`, taped
         or not. Every `_block` runs in one unchecked context, and each block's
         output is checked once. On a non-finite output, or an error from a
@@ -267,7 +281,7 @@ class DecoderModel:
             for i in range(1, self.cfg.n_layers + 1):
                 before, inputs = caches.get(i), x
                 try:
-                    x = self._block(i, x, positions, caches)
+                    x = self._block(i, x, positions, caches, weights)
                     _check_finite(x.data, "block output")
                 except EvaluationError:
                     break
@@ -278,10 +292,10 @@ class DecoderModel:
                 caches.pop(i, None)
             else:
                 caches[i] = before
-            self._block(i, inputs, positions, caches)
+            self._block(i, inputs, positions, caches, weights)
             raise EvaluationError(f"layer {i}: block output contains non-finite entries")
-        h = rmsnorm(x, self.params["final_norm"])
-        return matmul(h, self.params["unembed"])
+        h = rmsnorm(x, weights["final_norm"])
+        return matmul(h, weights["unembed"])
 
     def forward_logits(self, tokens, caches_out: dict | None = None) -> Tensor:
         """Full-sequence logits, shape [B, T, vocab].
@@ -309,14 +323,11 @@ class DecoderModel:
         logits = self.forward_logits(arr)
         targets = np.zeros((B, T), dtype=arr.dtype)
         targets[:, :-1] = arr[:, 1:]
+        mask = np.ones((B, T - 1), dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
+        if mask.shape != (B, T - 1):
+            raise DimensionError(f"loss mask {mask.shape} does not match transitions {(B, T - 1)}")
         sel = np.zeros((B, T), dtype=bool)
-        if loss_mask is None:
-            sel[:, :-1] = True
-        else:
-            mask = np.asarray(loss_mask, dtype=bool)
-            if mask.shape != (B, T - 1):
-                raise DimensionError(f"loss mask {mask.shape} does not match transitions {(B, T - 1)}")
-            sel[:, :-1] = mask
+        sel[:, :-1] = mask
         return cross_entropy(logits, targets, mask=sel)
 
     # -- incremental decoding ----------------------------------------------
@@ -345,11 +356,12 @@ class DecoderModel:
         self._check_tokens(prompt)
 
         caches: dict[int, LayerCache] = {}
-        x = embed(self.params["embed"], prompt[None, :]).numpy()
+        weights = self._weights()
+        x = embed(weights["embed"], prompt[None, :]).numpy()
         logits_rows = []
         for start in range(0, prompt.size, PREFILL_CHUNK):
             rows = slice(start, start + PREFILL_CHUNK)
-            logits_rows.extend(self._layers(Tensor(x[:, rows]), np.arange(prompt.size)[rows], caches).numpy()[0])
+            logits_rows.extend(self._layers(Tensor(x[:, rows]), np.arange(prompt.size)[rows], caches, weights).numpy()[0])
 
         tokens = list(prompt)
         for _ in range(new_tokens):
@@ -357,18 +369,12 @@ class DecoderModel:
             tokens.append(nxt)
             if len(tokens) == total:
                 break
-            pos = len(tokens) - 1
-            step = self._forward(np.array([[nxt]], dtype=prompt.dtype), np.array([pos]), caches)
+            step = self._forward(np.array([[nxt]], dtype=prompt.dtype), np.array([len(tokens) - 1]), caches, weights)
             logits_rows.append(step.numpy()[0, 0])
 
         elements = sum(c.keys.size + c.values.size for c in caches.values())
-        return DecodeResult(
-            tokens=np.asarray(tokens),
-            logits=np.asarray(logits_rows),
-            peak_cache_layers=len(caches),
-            peak_cache_elements=elements,
-            cache_length=next(iter(caches.values())).length,
-        )
+        length = next(iter(caches.values())).length
+        return DecodeResult(np.asarray(tokens), np.asarray(logits_rows), len(caches), elements, length)
 
 
 def build_model(cfg: ModelConfig, seed) -> DecoderModel:

@@ -20,6 +20,8 @@ construction and gradients accumulate into the free vector.
 
 `apply_rope` caches its cos/sin tables per position vector and dtype, so a
 hit costs one lookup; a miss checks positions in [0, 2**63) and casts once.
+The tables are interleaved, (cos, cos) and (sin, -sin) per pair, so a
+rotation is three ufunc calls: two row products and one pair-swapped add.
 """
 
 from __future__ import annotations
@@ -64,16 +66,18 @@ class RopeSchedule:
 
 @lru_cache(maxsize=256)
 def _rotation_tables(head_dim: int, base: float, pos_bytes: bytes, pos_dtype: np.dtype, dtype: np.dtype):
-    """cos/sin of position*theta_j in `dtype`, shape [len(positions), D/2]."""
+    """Interleaved tables in `dtype`, [len(positions), D]: C = (cos, cos) and
+    S = (sin, -sin) of position*theta_j in pair j."""
     positions = np.frombuffer(pos_bytes, dtype=pos_dtype)
     as_int64 = positions.astype(np.int64)  # a uint64 position from 2**63 on wraps negative here
     if as_int64.min() < 0:
         raise ValueError(f"positions must be in [0, 2**63), got {positions[as_int64 < 0][0]}")
     phase = as_int64[:, None].astype(np.float64) * RopeSchedule(head_dim, base).angles[None, :]
     cos, sin = np.cos(phase).astype(dtype), np.sin(phase).astype(dtype)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return cos, sin
+    tables = np.repeat(cos, 2, axis=1), np.stack((sin, -sin), axis=-1).reshape(len(positions), head_dim)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
@@ -81,7 +85,10 @@ def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
 
     `x` has shape [..., s, D]; `positions` gives the absolute token index
     of each of the s rows. Differentiable (the backward pass rotates the
-    gradient by the opposite angle).
+    gradient by the opposite angle). x·S is (even·sin, -odd·sin) per pair, so
+    x·C plus x·S pair-swapped is (even·cos - odd·sin, odd·cos + even·sin)
+    exactly: a - b = a + (-b) and a + b = b + a in IEEE arithmetic. The swap
+    adds [2, N] views (even, odd entries) in C order: long inner loops.
     """
     x = _as_tensor(x)
     x_data = x.data
@@ -95,21 +102,15 @@ def apply_rope(x, positions, sched: RopeSchedule) -> Tensor:
         )
     if positions.dtype.kind not in "iu":
         raise TypeError("positions must be integers")
-    cos, sin = _rotation_tables(sched.head_dim, sched.base, positions.tobytes(), positions.dtype, x_data.dtype)
-    even, odd = x_data[..., 0::2], x_data[..., 1::2]
-    out = np.empty(x_data.shape, x_data.dtype)
-    out_even, out_odd = out[..., 0::2], out[..., 1::2]  # even·cos - odd·sin, even·sin + odd·cos
-    np.multiply(even, cos, out=out_even)
-    out_even -= odd * sin
-    np.multiply(even, sin, out=out_odd)
-    out_odd += odd * cos
+    c, s = _rotation_tables(sched.head_dim, sched.base, positions.tobytes(), positions.dtype, x_data.dtype)
+    out = np.multiply(x_data, c, order="C")
+    halves = out.reshape(-1, 2).T
+    np.add(halves, np.multiply(x_data, s, order="C").reshape(-1, 2).T[::-1], out=halves, order="C")
 
     def backward(g):
-        ge = g[..., 0::2]
-        go = g[..., 1::2]
-        dx = np.empty_like(g)
-        dx[..., 0::2] = ge * cos + go * sin
-        dx[..., 1::2] = -ge * sin + go * cos
+        dx = np.multiply(g, c, order="C")  # then ge·cos - (-go·sin), go·cos - ge·sin
+        halves = dx.reshape(-1, 2).T
+        np.subtract(halves, np.multiply(g, s, order="C").reshape(-1, 2).T[::-1], out=halves, order="C")
         return (dx,)
 
     return record_op("rope", out, (x,), backward)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "canonical_strategy",
     "reconstruct",
     "folded_cache",
+    "applied_weights",
     "init_normal",
     "init_equivalent",
     "sample_iterative_weights",
@@ -121,7 +123,7 @@ class ReconstructionSpec:
     key: CacheRule
     value: CacheRule
 
-    @property
+    @cached_property
     def sources(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.key.sources) | set(self.value.sources)))
 
@@ -328,37 +330,37 @@ def fusion_weight(weights: dict, rule: CacheRule, cache: str, i: int, j: int) ->
     return expand_pairs(w) if cache == "key" and rule.kind == FUSION_VECTOR else w
 
 
-def folded_cache(
-    plan: SharingPlan,
-    weights: dict | None,
-    stored: dict,
-    i: int,
-) -> LayerCache:
+def applied_weights(plan: SharingPlan, weights: dict) -> dict:
+    """Every fusion weight of `plan` by parameter name, as applied (`fusion_weight`)."""
+    rules = [(i, c, r) for i, s in plan.rules.items() for c, r in (("key", s.key), ("value", s.value)) if r.kind != DIRECT]
+    return {f"fusion.{c}.{i}.{j}": fusion_weight(weights, r, c, i, j) for i, c, r in rules for j in r.sources}
+
+
+def folded_cache(plan: SharingPlan, weights: dict | None, stored: dict, i: int, expand: bool = True) -> LayerCache:
     """The cache of reconstruction layer `i` as terms of stored caches: a
     direct rule is its source tensor unweighted; a fusion rule is one
     weighted term per source, in rule order. The tensors are the stored
-    ones (aliased)."""
+    ones (aliased). `weights` holds the fusion parameters, or with
+    `expand=False` the weights as applied (`applied_weights`)."""
     if i not in plan.rules:
         raise KeyError(f"layer {i} is not a reconstruction layer")
     spec = plan.rules[i]
-    length = None
     for j in spec.sources:
         if j not in stored:
             raise KeyError(f"layer {i} needs the cache of layer {j}, which is not stored")
-        if length is None:
-            length = stored[j].length
-        elif stored[j].length != length:
-            raise DimensionError(
-                f"source caches for layer {i} have different lengths "
-                f"({stored[j].length} vs {length})"
-            )
+    lengths = [stored[j].length for j in spec.sources]
+    if lengths.count(lengths[0]) != len(lengths):
+        other = next(n for n in lengths if n != lengths[0])
+        raise DimensionError(f"source caches for layer {i} have different lengths ({other} vs {lengths[0]})")
     if (spec.key.kind != DIRECT or spec.value.kind != DIRECT) and weights is None:
         raise ValueError(f"layer {i} uses weighted fusion but no weights were given")
 
     def terms(rule: CacheRule, cache: str, tensor_of) -> tuple:
         if rule.kind == DIRECT:
             return ((tensor_of(rule.sources[0]), None),)
-        return tuple((tensor_of(j), fusion_weight(weights, rule, cache, i, j)) for j in rule.sources)
+        if expand:
+            return tuple((tensor_of(j), fusion_weight(weights, rule, cache, i, j)) for j in rule.sources)
+        return tuple((tensor_of(j), weights[f"fusion.{cache}.{i}.{j}"]) for j in rule.sources)
 
     return LayerCache(
         terms(spec.key, "key", lambda j: stored[j].keys),

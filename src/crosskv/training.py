@@ -226,9 +226,9 @@ def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: fl
     parameter is a fresh array, computed in float64 in the closed form's
     order of operations and adopted without a copy; `Tensor._wrap` checks
     it finite, so an overflow raises EvaluationError naming the parameter
-    (numpy's warnings are off). The old parameter arrays are never written: a
-    `state_dict()` taken before a step keeps its values."""
-    dt = model.cfg.dtype
+    (numpy's warnings are off). Old arrays are never written and the new set
+    replaces `model.params` at once: state read before a step stays whole."""
+    dt, updated = model.cfg.dtype, {}
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in model.parameters():
             p64 = np.asarray(p.numpy(), dtype=np.float64)
@@ -254,7 +254,8 @@ def _adam_update(model: DecoderModel, grads: dict, moments: dict, t: int, lr: fl
                 np.multiply(p64, lr * WEIGHT_DECAY, out=den)
                 step -= den
             new = step if dt == np.float64 else step.astype(dt)
-            model.params[name] = Tensor._wrap(new, f"adam update of {name}")
+            updated[name] = Tensor._wrap(new, f"adam update of {name}")
+    model.params = updated
 
 
 def _grad_norm_rows(model: DecoderModel, grads: dict, ratio: float, step: int) -> list[dict]:

@@ -130,11 +130,13 @@ def _numerics_checks() -> list[CheckResult]:
     mprobe = mrng.standard_normal((2, 3, 4))
     cases.append(("matmul_rows", lambda: (matmul(act, w2) * mprobe).sum(), [act, w2]))
     # The attention projections: x · W written head-major (2 heads of 3), and
-    # [B, H, T, D] read token-major times W_o.
-    hx, hw, ho, hwo = (Tensor(mrng.standard_normal(s)) for s in ((2, 3, 5), (5, 6), (2, 2, 3, 3), (6, 4)))
+    # [B, H, T, D] read token-major times W_o plus the residual; the MLP's
+    # down-projection plus the residual.
+    hx, hw, ho, hwo, res = (Tensor(mrng.standard_normal(s)) for s in ((2, 3, 5), (5, 6), (2, 2, 3, 3), (6, 4), (2, 3, 4)))
     hprobe = mrng.standard_normal((2, 2, 3, 3))
     cases.append(("project_heads", lambda: (_project_heads(hx, hw, 2) * hprobe).sum(), [hx, hw]))
-    cases.append(("merge_project", lambda: (_merge_project(ho, hwo) * mprobe).sum(), [ho, hwo]))
+    cases.append(("merge_project", lambda: (_merge_project(res, ho, hwo) * mprobe).sum(), [res, ho, hwo]))
+    cases.append(("mlp_down_project", lambda: (_merge_project(res, act, w2) * mprobe).sum(), [res, act, w2]))
     sc = Tensor(rng.standard_normal((6, 6)))
     weight = Tensor(rng.standard_normal((6, 6)))
     cases.append(("softmax_causal", lambda: (masked_softmax(sc, _causal(6), 0.7) * weight).sum(), [sc]))

@@ -574,6 +574,21 @@ class TestBoundaries:
         assert err.startswith("crosskv: configuration error: ") and "--suite" in err
         assert not out.exists()
 
+    def test_empty_output_dir_flag_exits_one_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["cost", "--output-dir", ""]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and "--output-dir" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_dir_variable_exits_one_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(crosskv.cli.OUTPUT_DIR_ENV, "")
+        assert run(["cost"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("crosskv: configuration error: ") and crosskv.cli.OUTPUT_DIR_ENV in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [

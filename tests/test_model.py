@@ -1,6 +1,8 @@
+import importlib
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ import crosskv.model
 import crosskv.rope
 import crosskv.sharing
 import crosskv.tensor
+import crosskv.training
 from crosskv.checkpoint import load_checkpoint, save_checkpoint
 from crosskv.costmodel import WorkloadSpec, table1_costs
 from crosskv.model import ModelConfig, _merge_project, _project_heads, build_model, fusion_weight_rows
 from crosskv.sharing import STRATEGY_NAMES
-from crosskv.tensor import DimensionError, EvaluationError, Tape, Tensor, _active_tape, grad_check, mul, tsum
+from crosskv.tensor import (
+    DimensionError, EvaluationError, Tape, Tensor, _active_tape, add, grad_check, matmul, mul, tsum,
+)
 from crosskv.verify import _expected_parameter_count, toy_config
 
 
@@ -280,9 +285,9 @@ class TestDecode:
         seen = []
         layers = crosskv.model.DecoderModel._layers
 
-        def spy(model, x, positions, caches):
+        def spy(model, x, positions, caches, weights):
             seen.append(caches)
-            return layers(model, x, positions, caches)
+            return layers(model, x, positions, caches, weights)
 
         monkeypatch.setattr(crosskv.model.DecoderModel, "_layers", spy)
         m = build_model(small_cfg(strategy, n_kv_heads=n_kv_heads), seed=21)
@@ -416,6 +421,55 @@ def overflowing(m, name="layer3.w_in"):
     return m
 
 
+class TestOneParameterSet:
+    """A pass reads the model's parameter set once, and an update swaps in a
+    whole new set, so a pass never mixes weights of two updates even while
+    another thread trains the model."""
+
+    @staticmethod
+    def generation_counter(m) -> list:
+        """From now on every read of `m.params` hands out the next generation
+        of the parameter set, as if an update landed right after each read.
+        Returns the list of generations handed out."""
+        handed, params = [], m.__dict__.pop("params")
+
+        def read(self):
+            handed.append(len(handed))
+            return dict(params)
+
+        m.__class__ = type("Updated", (type(m),), {"params": property(read)})
+        return handed
+
+    @pytest.mark.parametrize("strategy", ["Vanilla", "FusedKV", "DenseFusion"])
+    def test_each_pass_reads_one_generation(self, strategy):
+        m = build_model(small_cfg(strategy), seed=40)
+        prompt = np.arange(9) % 16
+        want = m.decode(prompt, 6)
+        handed = self.generation_counter(m)
+        got = m.decode(prompt, 6)  # the prefill and five steps
+        assert handed == [0]
+        m.forward_logits(prompt)
+        assert handed == [0, 1]
+        assert np.array_equal(got.logits, want.logits)
+
+    def test_adam_update_swaps_in_a_new_set(self):
+        m = build_model(small_cfg("FusedKV"), seed=41)
+        before = m.params
+        kept = dict(before)
+        grads = {name: np.ones(p.shape) for name, p in kept.items()}
+        crosskv.training._adam_update(m, grads, {}, 1, 1e-3)
+        assert m.params is not before and list(m.params) == list(kept)
+        assert all(before[name] is p for name, p in kept.items())  # a pass holding the old set keeps it whole
+
+    def test_load_state_dict_swaps_in_a_new_set(self):
+        m = build_model(small_cfg("DenseFusion"), seed=42)
+        before = m.params
+        kept = dict(before)
+        m.load_state_dict(build_model(small_cfg("DenseFusion"), seed=43).state_dict())
+        assert m.params is not before and list(m.params) == list(kept)
+        assert all(before[name] is p for name, p in kept.items())
+
+
 class TestTable1Reads:
     """One tape-free decode step reads, and the decode stores, what Table 1
     counts (L = 8, d = 64, H_q = 8, context s = 41 after a 40-token prompt).
@@ -527,8 +581,8 @@ class TestFiniteChecks:
         m = build_model(small_cfg(), seed=33)
         block = m._block
 
-        def nan_when_unchecked(i, x, positions, caches):
-            out = block(i, x, positions, caches)
+        def nan_when_unchecked(i, x, positions, caches, weights):
+            out = block(i, x, positions, caches, weights)
             if i == 2 and not crosskv.tensor._THREAD.check_ops:
                 return Tensor._wrap(np.full(out.shape, np.nan), "nan block")
             return out
@@ -609,33 +663,52 @@ class TestProjectionOps:
     @pytest.mark.parametrize("lead", [(2,), ()])
     @pytest.mark.parametrize("n_heads", [4, 2])
     def test_merge_project_is_head_merge_then_matmul(self, dtype, lead, n_heads):
+        # plus the residual x, whose gradient is the output gradient itself
         rng = np.random.default_rng(10 + n_heads)
         H, T, D, N = n_heads, self.T, self.D, 16
         o, w = rng.standard_normal(lead + (H, T, D)).astype(dtype), rng.standard_normal((H * D, N)).astype(dtype)
-        probe = rng.standard_normal(lead + (T, N)).astype(dtype)
-        out, (do, dw) = self.taped(_merge_project, (o, w), probe)
+        x, probe = (rng.standard_normal(lead + (T, N)).astype(dtype) for _ in range(2))
+        out, (dx, do, dw) = self.taped(_merge_project, (x, o, w), probe)
         o_rows = _rows(np.ascontiguousarray(o.swapaxes(-2, -3)).reshape(lead + (T, H * D)))
         assert out.dtype == dtype
-        np.testing.assert_array_equal(out, np.matmul(o_rows, w).reshape(lead + (T, N)))
+        np.testing.assert_array_equal(out, x + np.matmul(o_rows, w).reshape(lead + (T, N)))
+        np.testing.assert_array_equal(dx, probe)
         expected_do = np.matmul(_rows(probe), w.T).reshape(lead + (T, H, D)).swapaxes(-2, -3)
         np.testing.assert_array_equal(do, expected_do)
         np.testing.assert_array_equal(dw, np.matmul(o_rows.T, _rows(probe)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    @pytest.mark.parametrize("lead", [(2,), ()])
+    def test_mlp_down_projection_is_add_of_matmul_bit_for_bit(self, dtype, lead):
+        # the MLP's x + h·W_out, against the `add` of a `matmul` it replaces
+        rng = np.random.default_rng(20)
+        T, K, N = self.T, 12, 16
+        x, h, w = (rng.standard_normal(shape).astype(dtype) for shape in (lead + (T, N), lead + (T, K), (K, N)))
+        probe = rng.standard_normal(lead + (T, N)).astype(dtype)
+        got, got_grads = self.taped(_merge_project, (x, h, w), probe)
+        want, want_grads = self.taped(lambda a, b, c: add(a, matmul(b, c)), (x, h, w), probe)
+        np.testing.assert_array_equal(got, want)
+        for g, wg in zip(got_grads, want_grads):
+            assert g.dtype == wg.dtype
+            np.testing.assert_array_equal(g, wg)
 
 
 class TestOpCounts:
     """Ops per tape-free toy decode step (`ModelConfig()`, after a 64-token
     prompt) and taped nodes per toy `forward_loss` (batch 8 x 17), by name.
-    Each attention projection is one `matmul`: no op splits or merges heads."""
+    Each attention projection is one `matmul`: no op splits or merges heads.
+    Both residual adds sit inside the output projections, so a layer records
+    no `add`, and a decode expands its fusion weights once, not per step."""
 
-    PER_LAYER = {"add": 16, "attention": 8, "embed": 1, "rmsnorm": 17, "swiglu": 8}
+    PER_LAYER = {"attention": 8, "embed": 1, "rmsnorm": 17, "swiglu": 8}
     STEP = {
         "Vanilla": {"matmul": 49, "rope": 16},
         "GQA": {"matmul": 49, "rope": 16},
         "YOCO": {"matmul": 41, "rope": 12},
-        "FusedKV": {"matmul": 41, "rope": 12, "expand_pairs": 8},
+        "FusedKV": {"matmul": 41, "rope": 12},
         "DenseFusion": {"matmul": 41, "rope": 12},
     }
-    TOTALS = {"Vanilla": 115, "GQA": 115, "YOCO": 103, "FusedKV": 111, "DenseFusion": 103}
+    TOTALS = {"Vanilla": 99, "GQA": 99, "YOCO": 87, "FusedKV": 87, "DenseFusion": 87}
 
     @pytest.fixture
     def ops(self, monkeypatch):
@@ -662,15 +735,15 @@ class TestOpCounts:
         assert step == {**self.PER_LAYER, **self.STEP[strategy]}
         assert sum(step.values()) == self.TOTALS[strategy]
 
-    @pytest.mark.parametrize(
-        "strategy, nodes",
-        [
-            ("Vanilla", {"matmul": 49, "rope": 16}),
-            ("FusedKV", {"matmul": 41, "rope": 12, "expand_pairs": 8, "mul": 16, "add": 24}),
-            ("DenseFusion", {"matmul": 41, "rope": 12, "mul": 32, "add": 40}),
-        ],
-    )
-    def test_forward_loss_nodes_by_name(self, strategy, nodes):
+    NODES = {
+        "Vanilla": {"matmul": 49, "rope": 16},
+        "FusedKV": {"matmul": 41, "rope": 12, "expand_pairs": 8, "mul": 16, "add": 8},
+        "DenseFusion": {"matmul": 41, "rope": 12, "mul": 32, "add": 24},
+    }
+    NODE_TOTALS = {"Vanilla": 100, "FusedKV": 120, "DenseFusion": 144}
+
+    @pytest.mark.parametrize("strategy", list(NODES))
+    def test_forward_loss_nodes_by_name(self, strategy):
         m = build_model(ModelConfig(strategy=strategy), seed=0)
         tokens = np.random.default_rng(1).integers(0, 64, size=(8, 17))
         with Tape() as tape:
@@ -681,9 +754,20 @@ class TestOpCounts:
         for node in tape.nodes:
             if node.op != "leaf":
                 got[node.op] = got.get(node.op, 0) + 1
-        assert got == {**self.PER_LAYER, "cross_entropy": 1, **nodes}
-        assert sum(got.values()) == {"Vanilla": 116, "FusedKV": 136, "DenseFusion": 160}[strategy]
+        assert got == {**self.PER_LAYER, "cross_entropy": 1, **self.NODES[strategy]}
+        assert sum(got.values()) == self.NODE_TOTALS[strategy]
         assert not {"split_heads", "merge_heads"} & set(got)
+
+    def test_tools_counts_prints_this_table(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+        printed = importlib.import_module("counts").counts()
+        assert list(printed) == list(self.STEP)
+        for strategy, got in printed.items():
+            assert got["decode_step"] == {**self.PER_LAYER, **self.STEP[strategy]}
+            assert got["decode_step_total"] == self.TOTALS[strategy]
+            if strategy in self.NODES:
+                assert got["forward_loss"] == {**self.PER_LAYER, "cross_entropy": 1, **self.NODES[strategy]}
+                assert got["forward_loss_total"] == self.NODE_TOTALS[strategy]
 
 
 class TestHeatmap:

@@ -95,6 +95,51 @@ class TestApplyRope:
         assert err < 1e-7
 
 
+def four_multiply_rotation(x, g, cos, sin):
+    """The rotation and its backward as written before the interleaved tables:
+    four products over the even/odd half-views, the oracle for `apply_rope`."""
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape, x.dtype)
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(even, sin, out=out_odd)
+    out_odd += odd * cos
+    ge, go = g[..., 0::2], g[..., 1::2]
+    dx = np.empty_like(g)
+    dx[..., 0::2] = ge * cos + go * sin
+    dx[..., 1::2] = -ge * sin + go * cos
+    return out, dx
+
+
+class TestInterleavedKernel:
+    """`apply_rope`'s three-call kernel gives the four-multiply rotation's
+    values and gradients bit for bit (signs of zero included)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 8, 1, 8), (1, 2, 1, 8), (8, 8, 17, 8), (8, 2, 17, 8), (1, 8, 128, 32), (3, 4, 6, 2)],
+        ids=["one-row", "one-row-gqa", "multi-row", "multi-row-gqa", "prefill-chunk", "d2"],
+    )
+    def test_forward_and_backward_match_four_multiplies(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        sched = RopeSchedule(shape[-1])
+        x, probe = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        x[..., 0, :2] = (0.0, -0.0)  # signed zeros keep their sign
+        pos = rng.integers(0, 5000, size=shape[-2])
+        phase = pos[:, None].astype(np.float64) * sched.angles[None, :]
+        want, want_dx = four_multiply_rotation(x, probe, np.cos(phase).astype(dtype), np.sin(phase).astype(dtype))
+        with Tape() as tape:
+            xt = tape.watch(Tensor(x))
+            out = apply_rope(xt, pos, sched)
+            tape.backward((out * Tensor(probe)).sum())
+        for got, ref in ((out.numpy(), want), (tape.grad(xt), want_dx)):
+            assert got.dtype == ref.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
 class TestScoreIdentity:
     def test_same_position_unit_weights_is_dot_product(self):
         rng = np.random.default_rng(4)

@@ -77,8 +77,8 @@ def test_decode_stores_check_fails_on_an_extra_cache(monkeypatch):
     # a pass that keeps one cache more than its storage layers stores more than Table 1 counts
     real = crosskv.model.DecoderModel._forward
 
-    def one_more(self, tokens, positions, caches):
-        logits = real(self, tokens, positions, caches)
+    def one_more(self, tokens, positions, caches, weights=None):
+        logits = real(self, tokens, positions, caches, weights)
         caches[0] = caches[1]
         return logits
 
